@@ -18,8 +18,8 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use asap_cluster::{Asn, ClusterId};
-use asap_topology::valley::{bounded_search, bounded_search_unconstrained, Expand};
+use asap_cluster::ClusterId;
+use asap_topology::valley::{bounded_search_idx, bounded_search_unconstrained_idx, Expand};
 use asap_workload::{HostId, Scenario};
 
 use crate::config::AsapConfig;
@@ -41,11 +41,18 @@ pub struct CloseClusterEntry {
     pub as_hops: usize,
 }
 
+/// Marks a cluster without an entry in [`CloseClusterSet`]'s position
+/// index.
+const ABSENT: u32 = u32::MAX;
+
 /// The close cluster set of one cluster.
 #[derive(Debug, Clone, Default)]
 pub struct CloseClusterSet {
     entries: Vec<CloseClusterEntry>,
-    by_cluster: HashMap<ClusterId, usize>,
+    /// Position of each cluster's entry in `entries`, indexed by cluster
+    /// id: [`ABSENT`] for a cluster outside the set, and clusters past
+    /// the end are outside it too.
+    position: Vec<u32>,
     /// Ping messages the surrogate spent constructing the set: exactly
     /// one request + reply per *completed* measurement of a cluster
     /// reached by the BFS. Clusters co-located in the origin AS are
@@ -59,8 +66,8 @@ pub struct CloseClusterSet {
 impl CloseClusterSet {
     /// Builds a set from explicit entries (simulation and test harnesses;
     /// the protocol itself always constructs sets via
-    /// [`construct_close_cluster_set`]). Later duplicates of a cluster
-    /// replace earlier ones in the index but keep their slot order.
+    /// [`construct_close_cluster_set`]). Only the first entry of a
+    /// duplicated cluster is kept.
     pub fn from_entries(entries: impl IntoIterator<Item = CloseClusterEntry>) -> Self {
         let mut set = CloseClusterSet::default();
         for e in entries {
@@ -89,16 +96,25 @@ impl CloseClusterSet {
 
     /// The entry for `cluster`, if it is in the set.
     pub fn get(&self, cluster: ClusterId) -> Option<&CloseClusterEntry> {
-        self.by_cluster.get(&cluster).map(|&i| &self.entries[i])
+        match self.position.get(cluster.0 as usize) {
+            Some(&i) if i != ABSENT => Some(&self.entries[i as usize]),
+            _ => None,
+        }
     }
 
     /// Whether `cluster` is in the set.
     pub fn contains(&self, cluster: ClusterId) -> bool {
-        self.by_cluster.contains_key(&cluster)
+        self.get(cluster).is_some()
     }
 
+    /// Appends `entry`. A cluster pushed twice keeps both entries, and
+    /// [`CloseClusterSet::get`] answers with the later one.
     fn push(&mut self, entry: CloseClusterEntry) {
-        self.by_cluster.insert(entry.cluster, self.entries.len());
+        let c = entry.cluster.0 as usize;
+        if c >= self.position.len() {
+            self.position.resize(c + 1, ABSENT);
+        }
+        self.position[c] = self.entries.len() as u32;
         self.entries.push(entry);
     }
 
@@ -109,26 +125,40 @@ impl CloseClusterSet {
     }
 }
 
-/// An index from AS number to the clusters it originates, shared by all
-/// surrogates (the bootstrap's prefix → ASN table, inverted).
+/// An index from AS to the clusters it originates, shared by all
+/// surrogates (the bootstrap's prefix → ASN table, inverted). ASes are
+/// keyed by their node index in the scenario's AS graph.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterIndex {
-    by_asn: HashMap<Asn, Vec<ClusterId>>,
+    by_node: Vec<Vec<ClusterId>>,
 }
 
 impl ClusterIndex {
     /// Builds the index from a scenario's clustering.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cluster's AS is not in the scenario's AS graph.
     pub fn build(scenario: &Scenario) -> Self {
-        let mut by_asn: HashMap<Asn, Vec<ClusterId>> = HashMap::new();
+        let graph = &scenario.internet.graph;
+        let mut by_node = vec![Vec::new(); graph.node_count()];
         for c in scenario.population.clustering().clusters() {
-            by_asn.entry(c.asn()).or_default().push(c.id());
+            let node = graph
+                .index_of(c.asn())
+                .unwrap_or_else(|| panic!("cluster AS {} not in the AS graph", c.asn()));
+            by_node[node as usize].push(c.id());
         }
-        ClusterIndex { by_asn }
+        ClusterIndex { by_node }
     }
 
-    /// The clusters originated by `asn` (empty if none).
-    pub fn clusters_of(&self, asn: Asn) -> &[ClusterId] {
-        self.by_asn.get(&asn).map(Vec::as_slice).unwrap_or(&[])
+    /// The clusters originated by the AS at graph node index `node`, in
+    /// clustering order (empty if none).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not a node index of the scenario's AS graph.
+    pub fn clusters_at(&self, node: u32) -> &[ClusterId] {
+        &self.by_node[node as usize]
     }
 }
 
@@ -359,16 +389,26 @@ pub fn construct_close_cluster_set_with_mode(
     config: &AsapConfig,
     mode: SearchMode,
 ) -> CloseClusterSet {
-    let clustering = scenario.population.clustering();
-    let origin_asn = clustering.cluster(origin_cluster).asn();
+    let graph = &scenario.internet.graph;
+    let origin_asn = scenario
+        .population
+        .clustering()
+        .cluster(origin_cluster)
+        .asn();
     let origin_surrogate = surrogate_of(origin_cluster);
+    let origin_host = scenario.population.host(origin_surrogate);
+    let origin_host_node = graph.index_of(origin_host.asn);
+
+    let origin_node = graph
+        .index_of(origin_asn)
+        .expect("origin cluster's AS is in the AS graph");
 
     let mut set = CloseClusterSet::default();
 
     // Clusters co-located in the origin AS are close by construction
     // (intra-AS latency), at 0 AS hops — no ping is sent, so no
     // construction messages are charged.
-    for &c in index.clusters_of(origin_asn) {
+    for &c in index.clusters_at(origin_node) {
         if c == origin_cluster {
             continue;
         }
@@ -386,19 +426,42 @@ pub fn construct_close_cluster_set_with_mode(
         }
     }
 
-    let visit = |set: &mut CloseClusterSet, reached: asap_topology::valley::Reached| {
-        let clusters = index.clusters_of(reached.asn);
+    let search = match mode {
+        SearchMode::ValleyFree => bounded_search_idx,
+        SearchMode::Unconstrained => bounded_search_unconstrained_idx,
+    };
+    search(graph, origin_node, config.k, &mut |node, hops| {
+        let clusters = index.clusters_at(node);
         if clusters.is_empty() {
             // No peers there: nothing to measure, keep expanding (transit
             // ASes carry no clusters but lead to ones that do).
             return Expand::Continue;
         }
+        let asn = graph.asn_at(node);
+        // The AS-level leg into this AS, walked at most once per visit:
+        // every surrogate inside the AS shares it and adds only its own
+        // access delay, summed as `NetModel::host_metrics` sums it. A
+        // surrogate elsewhere, or the origin surrogate itself (whose
+        // `lat()` is 0 ms), is measured on its own.
+        let mut core_leg = None;
         // Measure each cluster in the reached AS; prune expansion when
         // even the best leg into this AS violates a threshold.
         let mut best_rtt = f64::INFINITY;
         for &c in clusters {
             let peer = surrogate_of(c);
-            let Some((rtt, loss)) = measure(scenario, origin_surrogate, peer) else {
+            let peer_host = scenario.population.host(peer);
+            let measured = match origin_host_node {
+                Some(from) if peer_host.asn == asn && peer != origin_surrogate => {
+                    let leg =
+                        *core_leg.get_or_insert_with(|| scenario.net.as_metrics_idx(from, node));
+                    leg.map(|(core, loss)| {
+                        let rtt = core + 2.0 * origin_host.access_ms + 2.0 * peer_host.access_ms;
+                        (rtt, loss)
+                    })
+                }
+                _ => measure(scenario, origin_surrogate, peer),
+            };
+            let Some((rtt, loss)) = measured else {
                 // No measurement completed: no ping pair to account.
                 continue;
             };
@@ -410,7 +473,7 @@ pub fn construct_close_cluster_set_with_mode(
                     surrogate: peer,
                     rtt_ms: rtt,
                     loss,
-                    as_hops: reached.hops,
+                    as_hops: hops,
                 });
             }
         }
@@ -419,23 +482,7 @@ pub fn construct_close_cluster_set_with_mode(
         } else {
             Expand::Continue
         }
-    };
-
-    match mode {
-        SearchMode::ValleyFree => {
-            bounded_search(&scenario.internet.graph, origin_asn, config.k, |reached| {
-                visit(&mut set, reached)
-            });
-        }
-        SearchMode::Unconstrained => {
-            bounded_search_unconstrained(
-                &scenario.internet.graph,
-                origin_asn,
-                config.k,
-                |reached| visit(&mut set, reached),
-            );
-        }
-    }
+    });
 
     set
 }
@@ -622,9 +669,50 @@ mod tests {
     fn cluster_index_covers_every_cluster() {
         let (scenario, index, _) = setup();
         let clustering = scenario.population.clustering();
+        let graph = &scenario.internet.graph;
         for c in clustering.clusters() {
-            assert!(index.clusters_of(c.asn()).contains(&c.id()));
+            let node = graph.index_of(c.asn()).unwrap();
+            assert!(index.clusters_at(node).contains(&c.id()));
         }
+    }
+
+    fn entry(cluster: u32, rtt_ms: f64) -> CloseClusterEntry {
+        CloseClusterEntry {
+            cluster: ClusterId(cluster),
+            surrogate: HostId(cluster),
+            rtt_ms,
+            loss: 0.001,
+            as_hops: 1,
+        }
+    }
+
+    #[test]
+    fn ids_past_the_position_index_are_absent() {
+        let set = CloseClusterSet::from_entries([entry(3, 10.0), entry(1, 20.0)]);
+        assert_eq!(set.get(ClusterId(1)), Some(&entry(1, 20.0)));
+        for absent in [0, 2, 4, 1_000, u32::MAX] {
+            assert_eq!(set.get(ClusterId(absent)), None, "cluster {absent}");
+            assert!(!set.contains(ClusterId(absent)));
+        }
+        assert_eq!(CloseClusterSet::default().get(ClusterId(0)), None);
+    }
+
+    #[test]
+    fn a_duplicate_push_keeps_both_entries_and_indexes_the_later() {
+        let mut set = CloseClusterSet::default();
+        set.push(entry(5, 10.0));
+        set.push(entry(2, 30.0));
+        set.push(entry(5, 40.0));
+        assert_eq!(set.len(), 3);
+        assert_eq!(set.get(ClusterId(5)), Some(&entry(5, 40.0)));
+        assert_eq!(set.get(ClusterId(2)), Some(&entry(2, 30.0)));
+    }
+
+    #[test]
+    fn from_entries_keeps_the_first_duplicate() {
+        let set = CloseClusterSet::from_entries([entry(5, 10.0), entry(2, 30.0), entry(5, 40.0)]);
+        assert_eq!(set.entries(), &[entry(5, 10.0), entry(2, 30.0)]);
+        assert_eq!(set.get(ClusterId(5)), Some(&entry(5, 10.0)));
     }
 
     fn sample_set() -> Arc<CloseClusterSet> {

@@ -27,10 +27,10 @@
 //! **Exact pruning.** The two-hop scan of `r1`'s set is skipped when
 //! `rtt(h1–r1) + 2·40 ms ≥ latT`. No pair through `r1` could qualify:
 //! RTTs are non-negative and f64 addition is monotone, so the estimate
-//! `((e1 + e12) + e2) + 80` is never below `e1 + 80`. The callee's RTTs
-//! are read from a slice indexed by cluster id, built once per
-//! expansion, instead of one hash lookup per pair. Both leave every
-//! output bit-identical to the plain algorithm.
+//! `((e1 + e12) + e2) + 80` is never below `e1 + 80`. This leaves every
+//! output bit-identical to the plain algorithm. The callee's RTTs are
+//! read through [`CloseClusterSet::get`], whose position index is dense
+//! by cluster id, so a pair costs no hash lookup.
 
 use std::borrow::Borrow;
 
@@ -180,7 +180,6 @@ pub fn select_close_relay<S: Borrow<CloseClusterSet>>(
     let one_hop_ips: u64 = sel.one_hop.iter().map(|r| r.member_ips).sum();
     if (one_hop_ips as usize) < config.size_t {
         sel.expanded_two_hop = true;
-        let callee_rtt = rtt_by_cluster(callee_set);
         for e1 in caller_set.entries() {
             // Query r1's surrogate for its close cluster set.
             sel.messages += 2;
@@ -192,14 +191,10 @@ pub fn select_close_relay<S: Borrow<CloseClusterSet>>(
                 if e12.cluster == e1.cluster {
                     continue;
                 }
-                let Some(e2_rtt_ms) = callee_rtt
-                    .get(e12.cluster.0 as usize)
-                    .copied()
-                    .filter(|rtt| !rtt.is_nan())
-                else {
+                let Some(e2) = callee_set.get(e12.cluster) else {
                     continue;
                 };
-                let est_rtt_ms = e1.rtt_ms + e12.rtt_ms + e2_rtt_ms + 2.0 * RELAY_DELAY_RTT_MS;
+                let est_rtt_ms = e1.rtt_ms + e12.rtt_ms + e2.rtt_ms + 2.0 * RELAY_DELAY_RTT_MS;
                 if est_rtt_ms < config.lat_t_ms {
                     sel.two_hop.push(TwoHopRelay {
                         first: e1.cluster,
@@ -215,19 +210,6 @@ pub fn select_close_relay<S: Borrow<CloseClusterSet>>(
     }
 
     sel
-}
-
-/// The RTT of every entry of `set`, indexed by cluster id; NaN marks a
-/// cluster outside the set. A duplicated cluster keeps its last entry,
-/// as [`CloseClusterSet::get`] does. A NaN RTT inside the set reads as
-/// absent, which changes nothing: a NaN estimate never passes `< latT`.
-fn rtt_by_cluster(set: &CloseClusterSet) -> Vec<f64> {
-    let len = set.entries().iter().map(|e| e.cluster.0 as usize + 1).max();
-    let mut rtt = vec![f64::NAN; len.unwrap_or(0)];
-    for e in set.entries() {
-        rtt[e.cluster.0 as usize] = e.rtt_ms;
-    }
-    rtt
 }
 
 #[cfg(test)]

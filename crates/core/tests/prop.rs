@@ -1,17 +1,22 @@
 //! Seeded property tests for `select-close-relay()` over arbitrary close
-//! cluster sets, and close-set invariants on a shared scenario.
+//! cluster sets, close-set invariants on a shared scenario, and a
+//! differential oracle for the Fig. 9 close-set construction.
 
-use std::sync::OnceLock;
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
-use asap_cluster::ClusterId;
+use asap_cluster::{Asn, ClusterId};
 use asap_core::close_set::{
-    construct_close_cluster_set, CloseClusterEntry, CloseClusterSet, ClusterIndex,
+    construct_close_cluster_set, construct_close_cluster_set_with_mode, CloseClusterEntry,
+    CloseClusterSet, ClusterIndex, SearchMode,
 };
 use asap_core::select::{select_close_relay, CloseRelaySelection, OneHopRelay, TwoHopRelay};
 use asap_core::AsapConfig;
-use asap_netsim::RELAY_DELAY_RTT_MS;
+use asap_netsim::{AsCondition, FaultKind, NetModel, RELAY_DELAY_RTT_MS};
 use asap_rng::check::{check, vec};
 use asap_rng::StdRng;
+use asap_topology::valley::{bounded_search, bounded_search_unconstrained, Expand, Reached};
+use asap_topology::{AsTier, EdgeKind};
 use asap_workload::{HostId, Scenario, ScenarioConfig};
 
 fn shared_scenario() -> &'static Scenario {
@@ -347,4 +352,233 @@ fn close_sets_respect_any_configuration() {
         assert!(set.construction_messages >= 2 * remote);
         assert_eq!(set.construction_messages % 2, 0);
     });
+}
+
+/// Fig. 9 as the paper states it, with no index tricks: clusters found
+/// by ASN in a hash map, the `Reached`-collecting searches, and one
+/// `Scenario::host_metrics` per measured cluster. Returns the entries
+/// and the construction messages, and tallies each remote measurement
+/// into `outcomes` as routed, crossing a failed AS, or unroutable.
+fn reference_close_set(
+    scenario: &Scenario,
+    surrogate_of: &dyn Fn(ClusterId) -> HostId,
+    origin_cluster: ClusterId,
+    config: &AsapConfig,
+    mode: SearchMode,
+    outcomes: &mut [usize; 3],
+) -> (Vec<CloseClusterEntry>, u64) {
+    let mut by_asn: HashMap<Asn, Vec<ClusterId>> = HashMap::new();
+    for c in scenario.population.clustering().clusters() {
+        by_asn.entry(c.asn()).or_default().push(c.id());
+    }
+    let clusters_of = |asn: Asn| by_asn.get(&asn).cloned().unwrap_or_default();
+    let origin_asn = scenario
+        .population
+        .clustering()
+        .cluster(origin_cluster)
+        .asn();
+    let from = surrogate_of(origin_cluster);
+    let measure = |to: HostId| {
+        let (rtt, loss) = scenario.host_metrics(from, to)?;
+        Some((if from == to { 0.0 } else { rtt }, loss))
+    };
+    let close = |rtt: f64, loss: f64| rtt < config.lat_t_ms && loss < config.loss_t;
+
+    let mut entries = Vec::new();
+    for c in clusters_of(origin_asn) {
+        let peer = surrogate_of(c);
+        match measure(peer) {
+            Some((rtt, loss)) if c != origin_cluster && close(rtt, loss) => {
+                entries.push(CloseClusterEntry {
+                    cluster: c,
+                    surrogate: peer,
+                    rtt_ms: rtt,
+                    loss,
+                    as_hops: 0,
+                })
+            }
+            _ => {}
+        }
+    }
+    let mut messages = 0;
+    let visit = |reached: Reached| {
+        let clusters = clusters_of(reached.asn);
+        if clusters.is_empty() {
+            return Expand::Continue;
+        }
+        let mut best_rtt = f64::INFINITY;
+        for c in clusters {
+            let peer = surrogate_of(c);
+            let Some((rtt, loss)) = measure(peer) else {
+                outcomes[2] += 1;
+                continue;
+            };
+            outcomes[usize::from(loss == 1.0)] += 1;
+            messages += 2;
+            best_rtt = best_rtt.min(rtt);
+            if close(rtt, loss) {
+                entries.push(CloseClusterEntry {
+                    cluster: c,
+                    surrogate: peer,
+                    rtt_ms: rtt,
+                    loss,
+                    as_hops: reached.hops,
+                });
+            }
+        }
+        if best_rtt >= config.lat_t_ms {
+            Expand::Prune
+        } else {
+            Expand::Continue
+        }
+    };
+    let graph = &scenario.internet.graph;
+    match mode {
+        SearchMode::ValleyFree => bounded_search(graph, origin_asn, config.k, visit),
+        SearchMode::Unconstrained => {
+            bounded_search_unconstrained(graph, origin_asn, config.k, visit)
+        }
+    };
+    (entries, messages)
+}
+
+type EntryBits = (ClusterId, HostId, u64, u64, usize);
+
+fn entry_bits(entries: &[CloseClusterEntry]) -> Vec<EntryBits> {
+    entries
+        .iter()
+        .map(|e| {
+            (
+                e.cluster,
+                e.surrogate,
+                e.rtt_ms.to_bits(),
+                e.loss.to_bits(),
+                e.as_hops,
+            )
+        })
+        .collect()
+}
+
+/// A tiny world with one congested transit AS, one partitioned transit
+/// AS and one failed cluster-hosting AS, so shared route walks cross
+/// all three conditions. One cluster-hosting AS is also re-annotated to
+/// peer with its providers, which leaves it without routes to most
+/// ASes.
+fn faulted_world(rng: &mut StdRng) -> Scenario {
+    let mut scenario = Scenario::build(ScenarioConfig::tiny(), rng.gen_range(0..4));
+    let clusters = scenario.population.clustering().clusters();
+    let peering_only = clusters[rng.gen_range(0..clusters.len())].asn();
+    let failed = clusters[rng.gen_range(0..clusters.len())].asn();
+    let mut internet = (*scenario.internet).clone();
+    let providers: Vec<Asn> = internet.graph.providers(peering_only).collect();
+    for provider in providers {
+        internet
+            .graph
+            .add_edge(peering_only, provider, EdgeKind::PeerToPeer);
+    }
+    let internet = Arc::new(internet);
+    scenario.net = NetModel::new(Arc::clone(&internet), scenario.net.config().clone(), 5);
+    scenario.internet = internet;
+
+    let net = &scenario.internet;
+    let transits: Vec<Asn> = net
+        .graph
+        .asns()
+        .iter()
+        .copied()
+        .filter(|&a| net.tier(a) == Some(AsTier::Transit))
+        .collect();
+    let congested = transits[rng.gen_range(0..transits.len())];
+    let partitioned = transits[rng.gen_range(0..transits.len())];
+    assert!(scenario.apply_fault(&FaultKind::AsCongestion {
+        asn: congested.0,
+        added_rtt_ms: rng.gen_range(20.0..300.0),
+        added_loss: rng.gen_range(0.0..0.05),
+        duration_ms: 1,
+    }));
+    assert!(scenario.apply_fault(&FaultKind::AsPartition {
+        asn: partitioned.0,
+        duration_ms: 1,
+    }));
+    scenario.net.set_condition(failed, AsCondition::Failed);
+    scenario
+}
+
+/// The node-indexed construction (one route walk per reached AS, shared
+/// by the surrogates inside it) against the plain reference: same
+/// entries in the same order, bit-equal measurements, same hops and
+/// messages. Surrogates are remapped at random so the walk's fallbacks
+/// run too: a surrogate outside its cluster's AS, and the origin
+/// surrogate itself, also inside the reached AS.
+#[test]
+fn close_set_construction_matches_the_plain_reference() {
+    let mut outcomes = [0usize; 3];
+    check(24, |rng| {
+        let scenario = faulted_world(rng);
+        let index = ClusterIndex::build(&scenario);
+        let clusters = scenario.population.clustering().clusters();
+        let hosts = scenario.population.hosts();
+        let origin = clusters[rng.gen_range(0..clusters.len())].id();
+        // Half the time the origin surrogate is a host of another
+        // cluster that it serves too, so the search can reach its AS
+        // and measure it as that cluster's surrogate.
+        let origin_surrogate = match rng.gen_range(0..2) {
+            0 => hosts[rng.gen_range(0..hosts.len())].id,
+            _ => scenario.delegate_of(origin),
+        };
+        let mut remap: HashMap<ClusterId, HostId> = clusters
+            .iter()
+            .filter_map(|c| {
+                let host = match rng.gen_range(0..10) {
+                    0 => hosts[rng.gen_range(0..hosts.len())].id,
+                    1 => origin_surrogate,
+                    _ => return None,
+                };
+                Some((c.id(), host))
+            })
+            .collect();
+        remap.insert(
+            scenario.population.cluster_of(origin_surrogate),
+            origin_surrogate,
+        );
+        let surrogate_of = |c: ClusterId| {
+            if c == origin {
+                return origin_surrogate;
+            }
+            remap
+                .get(&c)
+                .copied()
+                .unwrap_or_else(|| scenario.delegate_of(c))
+        };
+        let config = AsapConfig {
+            k: rng.gen_range(0usize..6),
+            lat_t_ms: rng.gen_range(40.0f64..600.0),
+            loss_t: rng.gen_range(0.005f64..0.2),
+            ..Default::default()
+        };
+        for mode in [SearchMode::ValleyFree, SearchMode::Unconstrained] {
+            let set = construct_close_cluster_set_with_mode(
+                &scenario,
+                &index,
+                &surrogate_of,
+                origin,
+                &config,
+                mode,
+            );
+            let (entries, messages) = reference_close_set(
+                &scenario,
+                &surrogate_of,
+                origin,
+                &config,
+                mode,
+                &mut outcomes,
+            );
+            assert_eq!(entry_bits(set.entries()), entry_bits(&entries), "{mode:?}");
+            assert_eq!(set.construction_messages, messages, "{mode:?}");
+        }
+    });
+    assert!(
+        outcomes.iter().all(|&n| n > 0),
+        "routed / failed / unroutable measurements: {outcomes:?}"
+    );
 }

@@ -237,7 +237,22 @@ impl NetModel {
             return Some((self.intra_as_rtt_ms(a), self.base_pair_loss(a, b)));
         }
         let graph = &self.internet.graph;
-        let (src, dest) = (graph.index_of(a)?, graph.index_of(b)?);
+        self.as_metrics_idx(graph.index_of(a)?, graph.index_of(b)?)
+    }
+
+    /// [`NetModel::as_metrics`] between two graph node indices, without
+    /// hashing either AS number. Bit-equal to `as_metrics` of their
+    /// ASes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is not a node index of the model's graph.
+    pub fn as_metrics_idx(&self, src: u32, dest: u32) -> Option<(f64, f64)> {
+        let graph = &self.internet.graph;
+        let (a, b) = (graph.asn_at(src), graph.asn_at(dest));
+        if src == dest {
+            return Some((self.intra_as_rtt_ms(a), self.base_pair_loss(a, b)));
+        }
         let tree = self.router.tree_idx(graph, dest);
         if !tree.routable_idx(src) {
             return None;

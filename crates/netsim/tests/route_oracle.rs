@@ -1,9 +1,10 @@
 //! Differential oracle for the index-walk route queries.
 //!
-//! `as_rtt_ms`, `as_loss` and `as_metrics` walk the cached routing tree
-//! by node index. `path_rtt_ms` and `path_loss` over the materialised
-//! `as_path` are the plain reference: every float must be bit-equal to
-//! theirs, under any AS conditions, and from any number of threads.
+//! `as_rtt_ms`, `as_loss`, `as_metrics` and `as_metrics_idx` walk the
+//! cached routing tree by node index. `path_rtt_ms` and `path_loss` over
+//! the materialised `as_path` are the plain reference: every float must
+//! be bit-equal to theirs, under any AS conditions, and from any number
+//! of threads.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -31,13 +32,18 @@ fn bits(m: Option<(f64, f64)>) -> Option<(u64, u64)> {
 fn check_all_pairs(m: &NetModel) -> Vec<Option<(u64, u64)>> {
     let asns = m.internet().graph.asns().to_vec();
     let mut answers = Vec::with_capacity(asns.len() * asns.len());
-    for &a in &asns {
-        for &b in &asns {
+    for (i, &a) in (0u32..).zip(&asns) {
+        for (j, &b) in (0u32..).zip(&asns) {
             let fused = m.as_metrics(a, b);
             assert_eq!(
                 bits(fused),
                 bits(m.as_rtt_ms(a, b).zip(m.as_loss(a, b))),
                 "as_metrics({a}, {b}) disagrees with as_rtt_ms/as_loss"
+            );
+            assert_eq!(
+                bits(m.as_metrics_idx(i, j)),
+                bits(fused),
+                "as_metrics_idx({i}, {j}) disagrees with as_metrics({a}, {b})"
             );
             if a != b {
                 let reference = m
@@ -145,6 +151,7 @@ fn fused_query_costs_one_route_lookup() {
     assert_eq!(m.route_cache_stats(), (2, 1));
     // Intra-AS queries and unknown ASes never reach the router.
     m.as_metrics(a, a);
+    m.as_metrics_idx(0, 0);
     assert_eq!(m.as_metrics(Asn(u32::MAX), b), None);
     assert_eq!(m.route_cache_stats(), (2, 1));
 }

@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use asap_cluster::Asn;
 
@@ -53,6 +54,46 @@ impl fmt::Display for EdgeKind {
 /// Dense internal index of an AS inside an [`AsGraph`].
 pub(crate) type NodeIdx = u32;
 
+/// Per-node neighbor lists in one flat array: the neighbors of node `i`
+/// are `nodes[start[i]..start[i + 1]]`.
+#[derive(Debug, Clone, Default)]
+struct NeighborSlices {
+    start: Vec<u32>,
+    nodes: Vec<NodeIdx>,
+}
+
+impl NeighborSlices {
+    /// The neighbors of every node whose edge kind passes `keep`, in
+    /// adjacency order.
+    fn filter(adj: &[Vec<(NodeIdx, EdgeKind)>], keep: impl Fn(EdgeKind) -> bool) -> Self {
+        let mut start = Vec::with_capacity(adj.len() + 1);
+        let mut nodes = Vec::new();
+        start.push(0);
+        for nbrs in adj {
+            nodes.extend(nbrs.iter().filter(|(_, k)| keep(*k)).map(|&(n, _)| n));
+            start.push(nodes.len() as u32);
+        }
+        NeighborSlices { start, nodes }
+    }
+
+    fn of(&self, idx: NodeIdx) -> &[NodeIdx] {
+        let i = idx as usize;
+        &self.nodes[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+}
+
+/// The adjacency split by the direction a route can use each edge.
+/// Sibling links go both up and down.
+#[derive(Debug, Clone, Default)]
+struct KindSplit {
+    /// Customer→provider and sibling neighbors.
+    up: NeighborSlices,
+    /// Peering neighbors.
+    peer: NeighborSlices,
+    /// Provider→customer and sibling neighbors.
+    down: NeighborSlices,
+}
+
 /// An annotated AS-level graph of the Internet.
 ///
 /// Nodes are [`Asn`]s; every undirected adjacency is stored twice, once per
@@ -74,6 +115,8 @@ pub struct AsGraph {
     index: HashMap<Asn, NodeIdx>,
     adj: Vec<Vec<(NodeIdx, EdgeKind)>>,
     edge_count: usize,
+    /// Derived from `adj` on first use; every mutation resets it.
+    split: OnceLock<KindSplit>,
 }
 
 impl AsGraph {
@@ -89,6 +132,7 @@ impl AsGraph {
             return idx;
         }
         let idx = self.asns.len() as NodeIdx;
+        self.split.take();
         self.asns.push(asn);
         self.adj.push(Vec::new());
         self.index.insert(asn, idx);
@@ -105,6 +149,7 @@ impl AsGraph {
         }
         let ia = self.add_node(a);
         let ib = self.add_node(b);
+        self.split.take();
         let fwd = &mut self.adj[ia as usize];
         if let Some(slot) = fwd.iter_mut().find(|(n, _)| *n == ib) {
             slot.1 = kind;
@@ -165,6 +210,33 @@ impl AsGraph {
     /// Neighbors by dense index.
     pub(crate) fn neighbors_idx(&self, idx: NodeIdx) -> &[(NodeIdx, EdgeKind)] {
         &self.adj[idx as usize]
+    }
+
+    fn split(&self) -> &KindSplit {
+        self.split.get_or_init(|| KindSplit {
+            up: NeighborSlices::filter(&self.adj, |k| {
+                matches!(k, EdgeKind::CustomerToProvider | EdgeKind::SiblingToSibling)
+            }),
+            peer: NeighborSlices::filter(&self.adj, |k| k == EdgeKind::PeerToPeer),
+            down: NeighborSlices::filter(&self.adj, |k| {
+                matches!(k, EdgeKind::ProviderToCustomer | EdgeKind::SiblingToSibling)
+            }),
+        })
+    }
+
+    /// The providers and siblings of node `idx`, in adjacency order.
+    pub(crate) fn up_idx(&self, idx: NodeIdx) -> &[NodeIdx] {
+        self.split().up.of(idx)
+    }
+
+    /// The peers of node `idx`, in adjacency order.
+    pub(crate) fn peers_idx(&self, idx: NodeIdx) -> &[NodeIdx] {
+        self.split().peer.of(idx)
+    }
+
+    /// The customers and siblings of node `idx`, in adjacency order.
+    pub(crate) fn down_idx(&self, idx: NodeIdx) -> &[NodeIdx] {
+        self.split().down.of(idx)
     }
 
     /// The annotation of edge `a → b`, if the adjacency exists.

@@ -20,7 +20,7 @@ use std::sync::OnceLock;
 
 use asap_cluster::Asn;
 
-use crate::graph::{AsGraph, EdgeKind};
+use crate::graph::AsGraph;
 use crate::valley;
 
 /// How a route was learned, in decreasing order of preference.
@@ -227,6 +227,9 @@ impl BgpRouter {
 ///    its customers, recursively.
 ///
 /// Sibling links propagate routes in every stage without changing class.
+/// Each stage walks only the neighbor slice its edges come from (see
+/// `AsGraph::up_idx` and its siblings), in adjacency order, so it visits
+/// the same candidates in the same order as a scan of every neighbor.
 fn compute_tree(graph: &AsGraph, dest_idx: u32) -> RoutingTree {
     let dest = graph.asn_at(dest_idx);
     let n = graph.node_count();
@@ -246,12 +249,8 @@ fn compute_tree(graph: &AsGraph, dest_idx: u32) -> RoutingTree {
             hops[x as usize] as usize
         };
         // Export x's customer route to x's providers and siblings.
-        for &(y, kind_from_x) in graph.neighbors_idx(x) {
-            let propagates = matches!(
-                kind_from_x,
-                EdgeKind::CustomerToProvider | EdgeKind::SiblingToSibling
-            );
-            if !propagates || y == dest_idx {
+        for &y in graph.up_idx(x) {
+            if y == dest_idx {
                 continue;
             }
             let yi = y as usize;
@@ -287,8 +286,8 @@ fn compute_tree(graph: &AsGraph, dest_idx: u32) -> RoutingTree {
         } else {
             hops[x as usize] as usize
         };
-        for &(y, kind_from_x) in graph.neighbors_idx(x) {
-            if kind_from_x != EdgeKind::PeerToPeer || y == dest_idx {
+        for &y in graph.peers_idx(x) {
+            if y == dest_idx {
                 continue;
             }
             let yi = y as usize;
@@ -317,12 +316,9 @@ fn compute_tree(graph: &AsGraph, dest_idx: u32) -> RoutingTree {
         } else {
             hops[x as usize] as usize
         };
-        for &(y, kind_from_x) in graph.neighbors_idx(x) {
-            let propagates = matches!(
-                kind_from_x,
-                EdgeKind::ProviderToCustomer | EdgeKind::SiblingToSibling
-            );
-            if !propagates || y == dest_idx {
+        // Export x's route to x's customers and siblings.
+        for &y in graph.down_idx(x) {
+            if y == dest_idx {
                 continue;
             }
             let yi = y as usize;
@@ -368,6 +364,7 @@ pub fn route_is_valley_free(graph: &AsGraph, tree: &RoutingTree, src: Asn) -> bo
 mod tests {
     use super::*;
     use crate::gen::{InternetConfig, InternetGenerator};
+    use crate::graph::EdgeKind;
 
     fn p2c() -> EdgeKind {
         EdgeKind::ProviderToCustomer

@@ -92,7 +92,8 @@ pub enum Expand {
 /// equal hops, through the uphill state, which permits strictly more
 /// extensions.
 ///
-/// Returns all reached ASes in visit order.
+/// Returns all reached ASes in visit order. [`bounded_search_idx`] runs
+/// the same search by node index without collecting them.
 pub fn bounded_search(
     graph: &AsGraph,
     origin: Asn,
@@ -102,6 +103,30 @@ pub fn bounded_search(
     let Some(origin_idx) = graph.index_of(origin) else {
         return Vec::new();
     };
+    let mut out = Vec::new();
+    bounded_search_idx(graph, origin_idx, max_hops, |idx, hops| {
+        let reached = Reached {
+            asn: graph.asn_at(idx),
+            hops,
+        };
+        out.push(reached);
+        visit(reached)
+    });
+    out
+}
+
+/// [`bounded_search`] from node index `origin_idx`, visiting each reached
+/// AS as `visit(node_idx, hops)`, in the same order.
+///
+/// # Panics
+///
+/// Panics if `origin_idx` is not a node index of `graph`.
+pub fn bounded_search_idx(
+    graph: &AsGraph,
+    origin_idx: u32,
+    max_hops: usize,
+    mut visit: impl FnMut(u32, usize) -> Expand,
+) {
     let n = graph.node_count();
     // seen[phase][node]: already enqueued in this automaton state.
     let mut seen = vec![[false; 2]; n];
@@ -109,12 +134,6 @@ pub fn bounded_search(
     let mut reported = vec![false; n];
     // pruned[node]: visitor asked not to expand through this AS.
     let mut pruned = vec![false; n];
-    let mut out = Vec::new();
-
-    let phase_ix = |p: Phase| match p {
-        Phase::Up => 0usize,
-        Phase::Down => 1,
-    };
 
     let mut queue: VecDeque<(u32, Phase, usize)> = VecDeque::new();
     // Order matters at hop 0 only conceptually; Up is the start state.
@@ -124,30 +143,37 @@ pub fn bounded_search(
     while let Some((idx, phase, hops)) = queue.pop_front() {
         if idx != origin_idx && !reported[idx as usize] {
             reported[idx as usize] = true;
-            let reached = Reached {
-                asn: graph.asn_at(idx),
-                hops,
-            };
-            if visit(reached) == Expand::Prune {
+            if visit(idx, hops) == Expand::Prune {
                 pruned[idx as usize] = true;
             }
-            out.push(reached);
         }
         if hops == max_hops || (idx != origin_idx && pruned[idx as usize]) {
             continue;
         }
-        for &(next, kind) in graph.neighbors_idx(idx) {
-            let Some(next_phase) = phase.step(kind) else {
-                continue;
-            };
-            let slot = &mut seen[next as usize][phase_ix(next_phase)];
+        let mut push = |next: u32, next_phase: Phase| {
+            let slot = &mut seen[next as usize][next_phase as usize];
             if !*slot {
                 *slot = true;
                 queue.push_back((next, next_phase, hops + 1));
             }
+        };
+        match phase {
+            Phase::Up => {
+                for &(next, kind) in graph.neighbors_idx(idx) {
+                    if let Some(next_phase) = phase.step(kind) {
+                        push(next, next_phase);
+                    }
+                }
+            }
+            // Downhill, only provider→customer and sibling links extend
+            // the path, and both stay downhill.
+            Phase::Down => {
+                for &next in graph.down_idx(idx) {
+                    push(next, Phase::Down);
+                }
+            }
         }
     }
-    out
 }
 
 /// Like [`bounded_search`], but ignoring the valley-free constraint: a
@@ -164,23 +190,40 @@ pub fn bounded_search_unconstrained(
     let Some(origin_idx) = graph.index_of(origin) else {
         return Vec::new();
     };
+    let mut out = Vec::new();
+    bounded_search_unconstrained_idx(graph, origin_idx, max_hops, |idx, hops| {
+        let reached = Reached {
+            asn: graph.asn_at(idx),
+            hops,
+        };
+        out.push(reached);
+        visit(reached)
+    });
+    out
+}
+
+/// [`bounded_search_unconstrained`] from node index `origin_idx`,
+/// visiting each reached AS as `visit(node_idx, hops)`, in the same
+/// order.
+///
+/// # Panics
+///
+/// Panics if `origin_idx` is not a node index of `graph`.
+pub fn bounded_search_unconstrained_idx(
+    graph: &AsGraph,
+    origin_idx: u32,
+    max_hops: usize,
+    mut visit: impl FnMut(u32, usize) -> Expand,
+) {
     let n = graph.node_count();
     let mut seen = vec![false; n];
     let mut pruned = vec![false; n];
-    let mut out = Vec::new();
     let mut queue: VecDeque<(u32, usize)> = VecDeque::new();
     seen[origin_idx as usize] = true;
     queue.push_back((origin_idx, 0));
     while let Some((idx, hops)) = queue.pop_front() {
-        if idx != origin_idx {
-            let reached = Reached {
-                asn: graph.asn_at(idx),
-                hops,
-            };
-            if visit(reached) == Expand::Prune {
-                pruned[idx as usize] = true;
-            }
-            out.push(reached);
+        if idx != origin_idx && visit(idx, hops) == Expand::Prune {
+            pruned[idx as usize] = true;
         }
         if hops == max_hops || (idx != origin_idx && pruned[idx as usize]) {
             continue;
@@ -192,7 +235,6 @@ pub fn bounded_search_unconstrained(
             }
         }
     }
-    out
 }
 
 /// The minimal number of AS links on a valley-free path from `src` to

@@ -1,0 +1,283 @@
+//! Differential oracles for the index-based graph walks.
+//!
+//! BGP routing trees and the bounded searches read per-kind neighbor
+//! slices that `AsGraph` derives from its adjacency. The references here
+//! scan every neighbor from `AsGraph::neighbors` and filter by edge kind,
+//! as the walks did before the split: trees must agree node by node,
+//! searches visit by visit.
+
+use std::collections::VecDeque;
+use std::ops::Range;
+
+use asap_cluster::Asn;
+use asap_rng::check::check;
+use asap_rng::StdRng;
+use asap_topology::routing::{BgpRouter, RouteClass};
+use asap_topology::valley::{self, Expand, Phase};
+use asap_topology::{AsGraph, EdgeKind, InternetConfig, InternetGenerator};
+
+/// One node of a reference tree: next hop, class and hops, or `None`
+/// when the node has no route.
+type NodeRoute = Option<(Option<u32>, RouteClass, usize)>;
+
+/// The three-stage propagation of `routing::compute_tree`, over every
+/// neighbor of each node.
+fn reference_tree(graph: &AsGraph, dest: u32) -> Vec<NodeRoute> {
+    const NO_ROUTE: u32 = u32::MAX;
+    let n = graph.node_count();
+    let nbrs = |x: u32| graph.neighbors(graph.asn_at(x));
+    let mut next_hop = vec![NO_ROUTE; n];
+    let mut class = vec![RouteClass::Provider; n];
+    let mut hops = vec![0usize; n];
+    let mut has_route = vec![false; n];
+    let hops_at = |hops: &[usize], x: u32| if x == dest { 0 } else { hops[x as usize] };
+
+    has_route[dest as usize] = true;
+    let mut frontier = VecDeque::from([dest]);
+    while let Some(x) = frontier.pop_front() {
+        let candidate = hops_at(&hops, x) + 1;
+        for &(y, kind) in nbrs(x) {
+            let up = matches!(
+                kind,
+                EdgeKind::CustomerToProvider | EdgeKind::SiblingToSibling
+            );
+            if !up || y == dest {
+                continue;
+            }
+            let yi = y as usize;
+            let better = !has_route[yi]
+                || (class[yi] == RouteClass::Customer
+                    && (hops[yi] > candidate
+                        || (hops[yi] == candidate
+                            && graph.asn_at(next_hop[yi]) > graph.asn_at(x))));
+            if better {
+                let first_time = !has_route[yi];
+                has_route[yi] = true;
+                class[yi] = RouteClass::Customer;
+                hops[yi] = candidate;
+                next_hop[yi] = x;
+                if first_time || hops[yi] == candidate {
+                    frontier.push_back(y);
+                }
+            }
+        }
+    }
+
+    let holders: Vec<u32> = (0..n as u32)
+        .filter(|&i| {
+            i == dest || (has_route[i as usize] && class[i as usize] == RouteClass::Customer)
+        })
+        .collect();
+    for x in holders {
+        let candidate = hops_at(&hops, x) + 1;
+        for &(y, kind) in nbrs(x) {
+            if kind != EdgeKind::PeerToPeer || y == dest {
+                continue;
+            }
+            let yi = y as usize;
+            let better = !has_route[yi]
+                || (class[yi] == RouteClass::Peer
+                    && (hops[yi] > candidate
+                        || (hops[yi] == candidate
+                            && graph.asn_at(next_hop[yi]) > graph.asn_at(x))));
+            if better {
+                has_route[yi] = true;
+                class[yi] = RouteClass::Peer;
+                hops[yi] = candidate;
+                next_hop[yi] = x;
+            }
+        }
+    }
+
+    let mut frontier: VecDeque<u32> = (0..n as u32)
+        .filter(|&i| i == dest || has_route[i as usize])
+        .collect();
+    while let Some(x) = frontier.pop_front() {
+        let candidate = hops_at(&hops, x) + 1;
+        for &(y, kind) in nbrs(x) {
+            let down = matches!(
+                kind,
+                EdgeKind::ProviderToCustomer | EdgeKind::SiblingToSibling
+            );
+            if !down || y == dest {
+                continue;
+            }
+            let yi = y as usize;
+            let better = !has_route[yi]
+                || (class[yi] == RouteClass::Provider
+                    && (hops[yi] > candidate
+                        || (hops[yi] == candidate
+                            && graph.asn_at(next_hop[yi]) > graph.asn_at(x))));
+            if better && (!has_route[yi] || class[yi] == RouteClass::Provider) {
+                let improved = !has_route[yi] || hops[yi] > candidate;
+                has_route[yi] = true;
+                class[yi] = RouteClass::Provider;
+                hops[yi] = candidate.min(u8::MAX as usize);
+                next_hop[yi] = x;
+                if improved {
+                    frontier.push_back(y);
+                }
+            }
+        }
+    }
+
+    (0..n)
+        .map(|i| {
+            if i == dest as usize {
+                Some((None, RouteClass::Customer, 0))
+            } else {
+                (next_hop[i] != NO_ROUTE).then(|| (Some(next_hop[i]), class[i], hops[i]))
+            }
+        })
+        .collect()
+}
+
+/// Every tree `router` builds on `graph`, read node by node through the
+/// public accessors.
+fn router_trees(graph: &AsGraph, router: &BgpRouter) -> Vec<Vec<NodeRoute>> {
+    (0..graph.node_count() as u32)
+        .map(|dest| {
+            let tree = router.tree_idx(graph, dest);
+            graph
+                .asns()
+                .iter()
+                .enumerate()
+                .map(|(i, &asn)| {
+                    let class = tree.class_from(graph, asn)?;
+                    let hops = tree.hops_from(graph, asn)?;
+                    Some((tree.next_hop_idx(i as u32), class, hops))
+                })
+                .collect()
+        })
+        .collect()
+}
+
+fn reference_trees(graph: &AsGraph) -> Vec<Vec<NodeRoute>> {
+    (0..graph.node_count() as u32)
+        .map(|dest| reference_tree(graph, dest))
+        .collect()
+}
+
+#[test]
+fn every_tree_of_a_tiny_world_matches_the_full_scan() {
+    let net = InternetGenerator::new(InternetConfig::tiny(), 17).generate();
+    let router = BgpRouter::new(&net.graph);
+    let trees = router_trees(&net.graph, &router);
+    assert_eq!(trees, reference_trees(&net.graph));
+    let routed = trees.iter().flatten().filter(|r| r.is_some()).count();
+    assert!(
+        routed > net.graph.node_count(),
+        "trees route almost nothing"
+    );
+}
+
+/// Provider-to-customer edges three times as often as each other kind.
+fn arb_kind(rng: &mut StdRng) -> EdgeKind {
+    match rng.gen_range(0..5) {
+        0..=2 => EdgeKind::ProviderToCustomer,
+        3 => EdgeKind::PeerToPeer,
+        _ => EdgeKind::SiblingToSibling,
+    }
+}
+
+/// Adds a number of random edges drawn from `edges` over up to 24 ASes.
+fn add_random_edges(g: &mut AsGraph, rng: &mut StdRng, edges: Range<usize>) {
+    for _ in 0..rng.gen_range(edges) {
+        let (a, b) = (rng.gen_range(0..24), rng.gen_range(0..24));
+        g.add_edge(Asn(a), Asn(b), arb_kind(rng));
+    }
+}
+
+/// Random graphs, mutated after their slices were derived: a router
+/// over the grown graph must see the new and re-annotated edges.
+#[test]
+fn trees_of_random_graphs_match_the_full_scan_across_mutations() {
+    check(128, |rng| {
+        let mut g = AsGraph::new();
+        add_random_edges(&mut g, rng, 1..60);
+        assert_eq!(router_trees(&g, &BgpRouter::new(&g)), reference_trees(&g));
+        add_random_edges(&mut g, rng, 1..20);
+        g.add_node(Asn(rng.gen_range(20..40)));
+        assert_eq!(router_trees(&g, &BgpRouter::new(&g)), reference_trees(&g));
+    });
+}
+
+/// `valley::bounded_search` as it walked before the split: every
+/// neighbor in both phases, filtered by `Phase::step`.
+fn reference_search(
+    graph: &AsGraph,
+    origin: u32,
+    max_hops: usize,
+    mut visit: impl FnMut(u32, usize) -> Expand,
+) {
+    let n = graph.node_count();
+    let mut seen = vec![[false; 2]; n];
+    let mut reported = vec![false; n];
+    let mut pruned = vec![false; n];
+    let mut queue = VecDeque::from([(origin, Phase::Up, 0)]);
+    seen[origin as usize][0] = true;
+    while let Some((idx, phase, hops)) = queue.pop_front() {
+        if idx != origin && !reported[idx as usize] {
+            reported[idx as usize] = true;
+            pruned[idx as usize] = visit(idx, hops) == Expand::Prune;
+        }
+        if hops == max_hops || (idx != origin && pruned[idx as usize]) {
+            continue;
+        }
+        for &(next, kind) in graph.neighbors(graph.asn_at(idx)) {
+            let Some(next_phase) = phase.step(kind) else {
+                continue;
+            };
+            let slot = &mut seen[next as usize][usize::from(next_phase == Phase::Down)];
+            if !*slot {
+                *slot = true;
+                queue.push_back((next, next_phase, hops + 1));
+            }
+        }
+    }
+}
+
+#[test]
+fn bounded_search_visits_like_the_full_scan() {
+    check(256, |rng| {
+        let mut g = AsGraph::new();
+        add_random_edges(&mut g, rng, 1..80);
+        let origin = rng.gen_range(0..g.node_count() as u32);
+        let k = rng.gen_range(0usize..6);
+        // Prune a fixed random subset, so both walks see the same
+        // verdicts.
+        let prune: Vec<bool> = (0..g.node_count())
+            .map(|_| rng.gen_range(0..4) == 0)
+            .collect();
+        let verdict = |idx: u32| {
+            if prune[idx as usize] {
+                Expand::Prune
+            } else {
+                Expand::Continue
+            }
+        };
+        let mut fast = Vec::new();
+        valley::bounded_search_idx(&g, origin, k, |idx, hops| {
+            fast.push((idx, hops));
+            verdict(idx)
+        });
+        let mut reference = Vec::new();
+        reference_search(&g, origin, k, |idx, hops| {
+            reference.push((idx, hops));
+            verdict(idx)
+        });
+        assert_eq!(fast, reference);
+        // The Reached-collecting wrapper visits and returns the same.
+        let mut wrapped = Vec::new();
+        let collected = valley::bounded_search(&g, g.asn_at(origin), k, |r| {
+            wrapped.push(r);
+            verdict(g.index_of(r.asn).unwrap())
+        });
+        assert_eq!(collected, wrapped);
+        let as_idx: Vec<(u32, usize)> = collected
+            .iter()
+            .map(|r| (g.index_of(r.asn).unwrap(), r.hops))
+            .collect();
+        assert_eq!(as_idx, reference);
+    });
+}
