@@ -53,14 +53,15 @@ fn run_at(
     let asap = AsapSelector::new(system);
 
     // The four methods are independent given the shared scenario, so
-    // they run concurrently on `threads` threads. `ordered_map` preserves
-    // input order, so the output (and every downstream table) is
-    // identical to the sequential loop at any thread count.
-    let methods: Vec<(&str, &(dyn RelaySelector + Sync))> = vec![
-        ("DEDI", &dedi),
-        ("RAND", &rand),
-        ("MIX", &mix),
-        ("ASAP", &asap),
+    // they run concurrently on `threads` threads, each moved to the one
+    // thread that calls it. `ordered_map` preserves input order, so the
+    // output (and every downstream table) is identical to the sequential
+    // loop at any thread count.
+    let methods: Vec<(&str, Box<dyn RelaySelector + Send>)> = vec![
+        ("DEDI", Box::new(dedi)),
+        ("RAND", Box::new(rand)),
+        ("MIX", Box::new(mix)),
+        ("ASAP", Box::new(asap)),
     ];
     ordered_map(methods, threads, |(name, m)| {
         let quality: Vec<f64> = latent

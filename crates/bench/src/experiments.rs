@@ -61,17 +61,13 @@ json_row! {
 /// The crash rates swept by the fault-recovery experiment.
 pub const FAULT_RECOVERY_RATES: [f64; 5] = [0.0, 0.002, 0.005, 0.01, 0.02];
 
-/// Runs the crash-rate sweep and returns one row per rate.
+/// Runs the crash-rate sweep and returns one row per rate, recording
+/// into `telemetry`: each sweep point gets its own `ASAP@crash=RATE`
+/// ledger scope so the per-kind overhead of the rates stays separable in
+/// snapshots.
 ///
 /// Deterministic: equal `(scenario, seed, calls)` inputs produce equal
 /// rows, and [`json_lines`] of equal rows is byte-identical.
-pub fn fault_recovery_sweep(scenario: &Scenario, seed: u64, calls: usize) -> Vec<FaultRecoveryRow> {
-    fault_recovery_sweep_with(scenario, seed, calls, &Telemetry::new())
-}
-
-/// [`fault_recovery_sweep`] recording into a caller-provided telemetry
-/// context: each sweep point gets its own `ASAP@crash=RATE` ledger scope
-/// so the per-kind overhead of the rates stays separable in snapshots.
 pub fn fault_recovery_sweep_with(
     scenario: &Scenario,
     seed: u64,
@@ -275,27 +271,11 @@ pub fn chaos_soak_config() -> AsapConfig {
     }
 }
 
-/// Runs the chaos soak and returns its summary.
-pub fn chaos_soak(scenario: &Scenario, seed: u64, sessions: usize) -> ChaosSoakReport {
-    chaos_soak_with(scenario, seed, sessions, &Telemetry::new())
-}
-
-/// [`chaos_soak`] recording into a caller-provided telemetry context
-/// under the `ASAP` ledger scope.
-pub fn chaos_soak_with(
-    scenario: &Scenario,
-    seed: u64,
-    sessions: usize,
-    telemetry: &Telemetry,
-) -> ChaosSoakReport {
-    chaos_soak_sharded(scenario, seed, sessions, 1, 1, telemetry)
-}
-
-/// [`chaos_soak_with`] split across `shards` independent shards on up
-/// to `threads` threads via [`run_sharded_on`]. `shards == 1` is exactly the
-/// legacy single-shard run (byte-identical output); any larger shard
-/// count is deterministic per `(seed, shards)` regardless of how many
-/// worker threads execute it.
+/// Runs the chaos soak, recording into `telemetry` under the `ASAP`
+/// ledger scope, and returns its summary. The run is split across
+/// `shards` independent shards on up to `threads` threads via
+/// [`run_sharded_on`]; the output is deterministic per `(seed, shards)`
+/// regardless of how many worker threads execute it.
 pub fn chaos_soak_sharded(
     scenario: &Scenario,
     seed: u64,
@@ -479,32 +459,11 @@ pub fn overload_soak_config(enabled: bool) -> AsapConfig {
     config
 }
 
-/// Runs the overload soak and returns its summary.
-pub fn overload_soak(
-    scenario: &Scenario,
-    seed: u64,
-    sessions: usize,
-    enabled: bool,
-) -> OverloadSoakReport {
-    overload_soak_with(scenario, seed, sessions, enabled, &Telemetry::new())
-}
-
-/// [`overload_soak`] recording into a caller-provided telemetry context.
-/// Enabled and disabled runs get distinct ledger scopes so one snapshot
-/// can hold both sides of the regression guard.
-pub fn overload_soak_with(
-    scenario: &Scenario,
-    seed: u64,
-    sessions: usize,
-    enabled: bool,
-    telemetry: &Telemetry,
-) -> OverloadSoakReport {
-    overload_soak_sharded(scenario, seed, sessions, enabled, 1, 1, telemetry)
-}
-
-/// [`overload_soak_with`] split across `shards` independent shards on
-/// up to `threads` threads via [`run_sharded_on`]. `shards == 1` reproduces
-/// the legacy single-shard run byte-for-byte.
+/// Runs the overload soak, recording into `telemetry`, and returns its
+/// summary. Enabled and disabled runs get distinct ledger scopes so one
+/// snapshot can hold both sides of the regression guard. The run is
+/// split across `shards` independent shards on up to `threads` threads
+/// via [`run_sharded_on`].
 pub fn overload_soak_sharded(
     scenario: &Scenario,
     seed: u64,
@@ -526,19 +485,9 @@ pub fn overload_soak_sharded(
 /// caller skew and squeezed capacity of the overload soak on top. The
 /// point is that saturation pressure must not erode the fault
 /// invariants — in particular `dead_relay_calls == 0` (a busy relay is
-/// never an excuse to route through a dead one).
-pub fn chaos_overload_phase(
-    scenario: &Scenario,
-    seed: u64,
-    sessions: usize,
-    telemetry: &Telemetry,
-) -> ChaosSoakReport {
-    chaos_overload_phase_sharded(scenario, seed, sessions, 1, 1, telemetry)
-}
-
-/// [`chaos_overload_phase`] split across `shards` independent shards on
-/// up to `threads` threads via [`run_sharded_on`]. `shards == 1` reproduces
-/// the legacy single-shard run byte-for-byte.
+/// never an excuse to route through a dead one). The run is split
+/// across `shards` independent shards on up to `threads` threads via
+/// [`run_sharded_on`].
 pub fn chaos_overload_phase_sharded(
     scenario: &Scenario,
     seed: u64,

@@ -7,8 +7,8 @@
 //! the exact artifact a reader would diff between runs.
 
 use asap_bench::experiments::{
-    chaos_overload_phase, chaos_soak, chaos_soak_with, fault_recovery_sweep,
-    fault_recovery_sweep_with, json_lines, overload_soak, overload_soak_with,
+    chaos_overload_phase_sharded, chaos_soak_sharded, fault_recovery_sweep_with, json_lines,
+    overload_soak_sharded,
 };
 use asap_bench::Scale;
 use asap_telemetry::Telemetry;
@@ -24,8 +24,9 @@ fn tiny_scenario(seed: u64) -> Scenario {
 #[test]
 fn fault_recovery_json_is_byte_identical_across_runs() {
     let scenario = tiny_scenario(5);
-    let a = json_lines(&fault_recovery_sweep(&scenario, 5, 120));
-    let b = json_lines(&fault_recovery_sweep(&scenario, 5, 120));
+    let sweep = |seed| fault_recovery_sweep_with(&scenario, seed, 120, &Telemetry::new());
+    let a = json_lines(&sweep(5));
+    let b = json_lines(&sweep(5));
     assert!(!a.is_empty());
     assert_eq!(a, b, "same seed must reproduce the same JSON bytes");
 }
@@ -33,8 +34,9 @@ fn fault_recovery_json_is_byte_identical_across_runs() {
 #[test]
 fn chaos_soak_json_is_byte_identical_across_runs() {
     let scenario = tiny_scenario(9);
-    let a = json_lines(std::slice::from_ref(&chaos_soak(&scenario, 9, 400)));
-    let b = json_lines(std::slice::from_ref(&chaos_soak(&scenario, 9, 400)));
+    let soak = || chaos_soak_sharded(&scenario, 9, 400, 1, 1, &Telemetry::new());
+    let a = json_lines(std::slice::from_ref(&soak()));
+    let b = json_lines(std::slice::from_ref(&soak()));
     assert_eq!(a, b, "same seed must reproduce the same JSON bytes");
 }
 
@@ -63,7 +65,7 @@ fn chaos_soak_telemetry_snapshot_is_byte_identical_across_runs() {
     let scenario = tiny_scenario(9);
     let snap = |_: ()| {
         let telemetry = Telemetry::new();
-        chaos_soak_with(&scenario, 9, 400, &telemetry);
+        chaos_soak_sharded(&scenario, 9, 400, 1, 1, &telemetry);
         telemetry.snapshot_json()
     };
     let a = snap(());
@@ -80,8 +82,8 @@ fn overload_soak_json_is_byte_identical_across_runs() {
     let scenario = tiny_scenario(7);
     let run = |_: ()| {
         json_lines(&[
-            overload_soak(&scenario, 7, 400, true),
-            overload_soak(&scenario, 7, 400, false),
+            overload_soak_sharded(&scenario, 7, 400, true, 1, 1, &Telemetry::new()),
+            overload_soak_sharded(&scenario, 7, 400, false, 1, 1, &Telemetry::new()),
         ])
     };
     let a = run(());
@@ -93,8 +95,8 @@ fn overload_soak_json_is_byte_identical_across_runs() {
 #[test]
 fn overload_soak_accounts_for_everything() {
     let scenario = tiny_scenario(7);
-    let bounded = overload_soak(&scenario, 7, 400, true);
-    let unbounded = overload_soak(&scenario, 7, 400, false);
+    let bounded = overload_soak_sharded(&scenario, 7, 400, true, 1, 1, &Telemetry::new());
+    let unbounded = overload_soak_sharded(&scenario, 7, 400, false, 1, 1, &Telemetry::new());
     assert_eq!(bounded.violations(), 0, "bounded run: {bounded:?}");
     assert_eq!(unbounded.violations(), 0, "unbounded run: {unbounded:?}");
     // The regression guard's shape: no enforcement ⇒ nothing queued,
@@ -110,7 +112,7 @@ fn overload_soak_telemetry_snapshot_is_byte_identical_across_runs() {
     let scenario = tiny_scenario(7);
     let snap = |_: ()| {
         let telemetry = Telemetry::new();
-        overload_soak_with(&scenario, 7, 400, true, &telemetry);
+        overload_soak_sharded(&scenario, 7, 400, true, 1, 1, &telemetry);
         telemetry.snapshot_json()
     };
     let a = snap(());
@@ -126,8 +128,8 @@ fn overload_soak_telemetry_snapshot_is_byte_identical_across_runs() {
 fn chaos_overload_phase_holds_the_dead_relay_invariant() {
     let scenario = tiny_scenario(9);
     let telemetry = Telemetry::new();
-    let a = chaos_overload_phase(&scenario, 9, 400, &telemetry);
-    let b = chaos_overload_phase(&scenario, 9, 400, &Telemetry::new());
+    let a = chaos_overload_phase_sharded(&scenario, 9, 400, 1, 1, &telemetry);
+    let b = chaos_overload_phase_sharded(&scenario, 9, 400, 1, 1, &Telemetry::new());
     assert_eq!(
         a.dead_relay_calls, 0,
         "saturation must never route a call through a dead relay"
@@ -142,7 +144,8 @@ fn chaos_overload_phase_holds_the_dead_relay_invariant() {
 #[test]
 fn different_seeds_change_the_schedule() {
     let scenario = tiny_scenario(5);
-    let a = json_lines(&fault_recovery_sweep(&scenario, 5, 120));
-    let b = json_lines(&fault_recovery_sweep(&scenario, 6, 120));
+    let sweep = |seed| fault_recovery_sweep_with(&scenario, seed, 120, &Telemetry::new());
+    let a = json_lines(&sweep(5));
+    let b = json_lines(&sweep(6));
     assert_ne!(a, b, "the seed must actually drive the schedule");
 }

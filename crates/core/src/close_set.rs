@@ -16,14 +16,13 @@
 //! close cluster set.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use asap_cluster::ClusterId;
 use asap_topology::valley::{bounded_search_idx, bounded_search_unconstrained_idx, Expand};
 use asap_workload::{HostId, Scenario};
 
 use crate::config::AsapConfig;
-use crate::POISONED;
 
 /// One member of a close cluster set: a cluster reachable within the
 /// thresholds, with its measured leg properties.
@@ -211,7 +210,7 @@ pub enum CacheLookup {
 /// outcomes they get.
 #[derive(Debug, Default)]
 pub struct CloseSetCache {
-    entries: Mutex<HashMap<ClusterId, CachedCloseSet>>,
+    entries: HashMap<ClusterId, CachedCloseSet>,
 }
 
 impl CloseSetCache {
@@ -221,20 +220,18 @@ impl CloseSetCache {
     }
 
     /// Looks up `cluster`, validating the entry's epoch snapshot through
-    /// `epoch_of` (typically a closure over the caller's locked replica
-    /// table, preserving the caller's lock order). `generation` must
-    /// change whenever any epoch `epoch_of` reports changes; an entry
-    /// already verified at `generation` skips the walk. A stale entry is
-    /// removed on sight. Stale and absent are both misses — each forces
-    /// a rebuild.
+    /// `epoch_of` (typically a closure over the caller's replica table).
+    /// `generation` must change whenever any epoch `epoch_of` reports
+    /// changes; an entry already verified at `generation` skips the walk.
+    /// A stale entry is removed on sight. Stale and absent are both
+    /// misses — each forces a rebuild.
     pub fn lookup(
-        &self,
+        &mut self,
         cluster: ClusterId,
         generation: u64,
         epoch_of: impl Fn(ClusterId) -> u64,
     ) -> CacheLookup {
-        let mut entries = self.entries.lock().expect(POISONED);
-        match entries.get_mut(&cluster) {
+        match self.entries.get_mut(&cluster) {
             Some(cached) => {
                 let current = |c: &CachedCloseSet| c.deps.iter().all(|&(cl, e)| epoch_of(cl) == e);
                 let fresh = if cached.verified_at == Some(generation) {
@@ -251,7 +248,7 @@ impl CloseSetCache {
                     cached.verified_at = Some(generation);
                     CacheLookup::Hit(Arc::clone(&cached.set))
                 } else {
-                    entries.remove(&cluster);
+                    self.entries.remove(&cluster);
                     CacheLookup::Stale
                 }
             }
@@ -260,32 +257,27 @@ impl CloseSetCache {
     }
 
     /// Memoizes a freshly built set with its epoch dependency snapshot.
-    /// Keeps an existing entry if one raced in first.
     pub fn insert(
-        &self,
+        &mut self,
         cluster: ClusterId,
         deps: Vec<(ClusterId, u64)>,
         set: Arc<CloseClusterSet>,
         built_at_ms: u64,
     ) {
-        self.entries
-            .lock()
-            .expect(POISONED)
-            .entry(cluster)
-            .or_insert(CachedCloseSet {
-                deps,
-                verified_at: None,
-                set,
-                built_at_ms,
-            });
+        let cached = CachedCloseSet {
+            deps,
+            verified_at: None,
+            set,
+            built_at_ms,
+        };
+        self.entries.insert(cluster, cached);
     }
 
     /// Warm-handoff invalidation rule: entries referencing `cluster`
     /// adopt `epoch` in place (content stays valid). Their generation
     /// stamps are dropped, so the next lookup of each walks again.
-    pub fn refresh_epoch(&self, cluster: ClusterId, epoch: u64) {
-        let mut entries = self.entries.lock().expect(POISONED);
-        for entry in entries.values_mut() {
+    pub fn refresh_epoch(&mut self, cluster: ClusterId, epoch: u64) {
+        for entry in self.entries.values_mut() {
             for dep in entry.deps.iter_mut() {
                 if dep.0 == cluster {
                     dep.1 = epoch;
@@ -297,11 +289,11 @@ impl CloseSetCache {
 
     /// Cold-epoch invalidation rule: drops every entry referencing
     /// `cluster`, returning how many were dropped.
-    pub fn purge_referencing(&self, cluster: ClusterId) -> u64 {
-        let mut entries = self.entries.lock().expect(POISONED);
-        let before = entries.len();
-        entries.retain(|_, c| c.deps.iter().all(|&(cl, _)| cl != cluster));
-        (before - entries.len()) as u64
+    pub fn purge_referencing(&mut self, cluster: ClusterId) -> u64 {
+        let before = self.entries.len();
+        self.entries
+            .retain(|_, c| c.deps.iter().all(|&(cl, _)| cl != cluster));
+        (before - self.entries.len()) as u64
     }
 
     /// The cached set for `cluster` if it was built within `max_age_ms`
@@ -314,28 +306,22 @@ impl CloseSetCache {
         now_ms: u64,
         max_age_ms: u64,
     ) -> Option<Arc<CloseClusterSet>> {
-        self.entries
-            .lock()
-            .expect(POISONED)
-            .get(&cluster)
-            .and_then(|c| {
-                (now_ms.saturating_sub(c.built_at_ms) <= max_age_ms).then(|| Arc::clone(&c.set))
-            })
+        self.entries.get(&cluster).and_then(|c| {
+            (now_ms.saturating_sub(c.built_at_ms) <= max_age_ms).then(|| Arc::clone(&c.set))
+        })
     }
 
     /// Whether every entry references only current epochs per
     /// `epoch_of` (validation hook for the robustness tests).
     pub fn epoch_consistent(&self, epoch_of: impl Fn(ClusterId) -> u64) -> bool {
         self.entries
-            .lock()
-            .expect(POISONED)
             .values()
             .all(|c| c.deps.iter().all(|&(cl, e)| epoch_of(cl) == e))
     }
 
     /// Number of memoized sets.
     pub fn len(&self) -> usize {
-        self.entries.lock().expect(POISONED).len()
+        self.entries.len()
     }
 
     /// Whether the cache is empty.
@@ -727,7 +713,7 @@ mod tests {
 
     #[test]
     fn cache_hits_after_insert() {
-        let cache = CloseSetCache::new();
+        let mut cache = CloseSetCache::new();
         let origin = ClusterId(1);
         assert!(matches!(cache.lookup(origin, 0, |_| 0), CacheLookup::Miss));
         cache.insert(
@@ -745,7 +731,7 @@ mod tests {
 
     #[test]
     fn stale_epoch_evicts_on_lookup() {
-        let cache = CloseSetCache::new();
+        let mut cache = CloseSetCache::new();
         let origin = ClusterId(1);
         cache.insert(
             origin,
@@ -768,7 +754,7 @@ mod tests {
 
     #[test]
     fn warm_refresh_keeps_entry_cold_purge_drops_it() {
-        let cache = CloseSetCache::new();
+        let mut cache = CloseSetCache::new();
         let origin = ClusterId(1);
         cache.insert(
             origin,
@@ -794,7 +780,7 @@ mod tests {
 
     #[test]
     fn fresh_within_bounds_staleness_by_age() {
-        let cache = CloseSetCache::new();
+        let mut cache = CloseSetCache::new();
         let origin = ClusterId(1);
         cache.insert(origin, vec![(origin, 0)], sample_set(), 100);
         assert!(cache.fresh_within(origin, 150, 60).is_some());
@@ -847,7 +833,7 @@ mod tests {
     /// miss, then checks the cache is epoch-consistent.
     fn lookup_all(
         table: &crate::replica::ReplicaTable,
-        cache: &CloseSetCache,
+        cache: &mut CloseSetCache,
         reference: &mut WalkingCache,
         outcomes: &mut Vec<(Outcome, Outcome)>,
     ) {
@@ -885,30 +871,30 @@ mod tests {
             epoch: 0,
         };
         let mut table = ReplicaTable::new((0..4).map(replica_set).collect());
-        let cache = CloseSetCache::new();
+        let mut cache = CloseSetCache::new();
         let mut reference = WalkingCache::default();
         let mut outcomes = Vec::new();
 
         // Insert.
-        lookup_all(&table, &cache, &mut reference, &mut outcomes);
+        lookup_all(&table, &mut cache, &mut reference, &mut outcomes);
         // Warm handoff on cluster 1: the epoch is adopted in place.
         let epoch = table.promote(ClusterId(1), 0, HostId(11));
         cache.refresh_epoch(ClusterId(1), epoch);
         reference.refresh_epoch(ClusterId(1), epoch);
-        lookup_all(&table, &cache, &mut reference, &mut outcomes);
+        lookup_all(&table, &mut cache, &mut reference, &mut outcomes);
         // Cold re-election on cluster 2: dependent entries are purged.
         table.replace(ClusterId(2), replica_set(2));
         cache.purge_referencing(ClusterId(2));
         reference.purge_referencing(ClusterId(2));
-        lookup_all(&table, &cache, &mut reference, &mut outcomes);
+        lookup_all(&table, &mut cache, &mut reference, &mut outcomes);
         // `expire_close_set` on cluster 3: epoch bump plus purge.
         table.expire(ClusterId(3));
         cache.purge_referencing(ClusterId(3));
         reference.purge_referencing(ClusterId(3));
-        lookup_all(&table, &cache, &mut reference, &mut outcomes);
+        lookup_all(&table, &mut cache, &mut reference, &mut outcomes);
         // An epoch bump neither channel reports: lookups find it stale.
         table.expire(ClusterId(0));
-        lookup_all(&table, &cache, &mut reference, &mut outcomes);
+        lookup_all(&table, &mut cache, &mut reference, &mut outcomes);
 
         for (i, (stamped, walked)) in outcomes.iter().enumerate() {
             assert_eq!(stamped, walked, "lookup {i}");

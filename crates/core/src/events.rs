@@ -290,12 +290,12 @@ pub fn run_with(
         .map(|&k| scope.count(k))
         .collect();
     let mut rng = StdRng::seed_from_u64(sim.seed);
-    let mut queue: EventQueue<Event> = EventQueue::new();
+    let mut run = Run::default();
     let hosts = scenario.population.hosts();
     assert!(!hosts.is_empty(), "cannot simulate an empty population");
 
     for h in hosts {
-        queue.schedule(
+        run.queue.schedule(
             SimTime(rng.gen_range(0..sim.join_window_ms.max(1))),
             Event::Join(h.id),
         );
@@ -322,12 +322,13 @@ pub fn run_with(
             }
         };
         let at = rng.gen_range(sim.join_window_ms..last_call);
-        queue.schedule(SimTime(at), Event::Call(Session { caller, callee }));
+        run.queue
+            .schedule(SimTime(at), Event::Call(Session { caller, callee }));
     }
     let clusters = scenario.population.clustering().cluster_count() as u32;
     for _ in 0..sim.surrogate_failures {
         let at = rng.gen_range(sim.join_window_ms..sim.duration_ms.max(sim.join_window_ms + 1));
-        queue.schedule(
+        run.queue.schedule(
             SimTime(at),
             Event::FailSurrogate(rng.gen_range(0..clusters)),
         );
@@ -338,7 +339,7 @@ pub fn run_with(
         asns.dedup();
         let plan = FaultPlan::generate(fc, clusters, hosts.len() as u32, &asns);
         for (i, e) in plan.events().iter().enumerate() {
-            queue.schedule(SimTime(e.at_ms), Event::Fault(i));
+            run.queue.schedule(SimTime(e.at_ms), Event::Fault(i));
         }
         plan
     });
@@ -352,36 +353,22 @@ pub fn run_with(
         .max(1);
     let mut tick_at = hb_interval;
     while tick_at < sim.duration_ms {
-        queue.schedule(SimTime(tick_at), Event::MembershipTick);
+        run.queue.schedule(SimTime(tick_at), Event::MembershipTick);
         tick_at += hb_interval;
     }
-    queue.schedule(SimTime(sim.duration_ms), Event::End);
+    run.queue.schedule(SimTime(sim.duration_ms), Event::End);
 
-    let mut report = SimReport::default();
-    // BTreeMap so iteration (failover scans, congestion marking) is
-    // deterministic.
-    let mut active: BTreeMap<u64, ActiveCall> = BTreeMap::new();
-    let mut next_call_id: u64 = 0;
-    // ASN → congestion-burst end time (virtual ms).
-    let mut congested_until: BTreeMap<u32, u64> = BTreeMap::new();
-    // ASN → partition end time (virtual ms).
-    let mut partitioned_until: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut drop_windows_active: u32 = 0;
-    // Open telemetry spans: one per live partition, a LIFO stack for
-    // (possibly overlapping) message-drop windows.
-    let mut partition_spans: BTreeMap<u32, Span> = BTreeMap::new();
-    let mut drop_window_spans: Vec<Span> = Vec::new();
-    while let Some((now, event)) = queue.pop() {
+    while let Some((now, event)) = run.queue.pop() {
         system.advance_to(now.as_ms());
         match event {
             Event::End => {
-                report.ended_at = now;
-                report.unterminated_calls = active.len() as u64;
+                run.report.ended_at = now;
+                run.report.unterminated_calls = run.active.len() as u64;
                 if sim.final_recovery_check {
                     // Heal everything, give the detector one sweep, and
                     // verify no cluster is stuck degraded: every cluster
                     // with an online member must be able to serve again.
-                    for &asn in partitioned_until.keys() {
+                    for &asn in run.partitioned_until.keys() {
                         system.heal_as(asn);
                     }
                     system.set_message_faults(None);
@@ -390,7 +377,7 @@ pub fn run_with(
                         let members = scenario.population.cluster_members(c.id());
                         let any_online = members.iter().any(|&h| system.is_online(h));
                         if any_online && !system.cluster_control_usable(c.id()) {
-                            report.stuck_clusters += 1;
+                            run.report.stuck_clusters += 1;
                         }
                     }
                 }
@@ -398,9 +385,9 @@ pub fn run_with(
             }
             Event::Join(h) => {
                 let _ = system.join(h);
-                report.joined += 1;
+                run.report.joined += 1;
                 // First publish happens one interval after joining.
-                queue.schedule(
+                run.queue.schedule(
                     now.after_ms(system.config().publish_interval_ms),
                     Event::Publish(h),
                 );
@@ -408,7 +395,7 @@ pub fn run_with(
             Event::Publish(h) => {
                 scope.record_for_node(h.0, MessageKind::Publish, 1);
                 if now.as_ms() + system.config().publish_interval_ms <= sim.duration_ms {
-                    queue.schedule(
+                    run.queue.schedule(
                         now.after_ms(system.config().publish_interval_ms),
                         Event::Publish(h),
                     );
@@ -417,10 +404,10 @@ pub fn run_with(
             Event::Call(session) => {
                 let outcome = system.call(session.caller, session.callee);
                 if outcome.shed_by_overload {
-                    report.overload_shed_calls += 1;
+                    run.report.overload_shed_calls += 1;
                 }
                 if outcome.degradation > DegradationLevel::FullAsap {
-                    report.degraded_calls += 1;
+                    run.report.degraded_calls += 1;
                     // A downgrade is legitimate only while the control
                     // plane is actually impaired: a drop window is live,
                     // an endpoint cluster cannot answer, or admission
@@ -428,22 +415,22 @@ pub fn run_with(
                     let caller_cluster = scenario.population.cluster_of(session.caller);
                     let callee_cluster = scenario.population.cluster_of(session.callee);
                     let excused = outcome.shed_by_overload
-                        || drop_windows_active > 0
+                        || run.drop_windows_active > 0
                         || !system.cluster_control_usable(caller_cluster)
                         || !system.cluster_control_usable(callee_cluster)
                         || system.is_partitioned(scenario.population.host(session.caller).asn.0)
                         || system.is_partitioned(scenario.population.host(session.callee).asn.0);
                     if !excused {
-                        report.unexcused_degraded_calls += 1;
+                        run.report.unexcused_degraded_calls += 1;
                     }
                 }
                 if let Some(chosen) = outcome.chosen {
                     for &r in &chosen.relays {
                         if system.relay_verdict(r) == Verdict::Dead {
-                            report.dead_relay_calls += 1;
+                            run.report.dead_relay_calls += 1;
                         }
                     }
-                    report.calls_completed += 1;
+                    run.report.calls_completed += 1;
                     let mut call = ActiveCall {
                         session,
                         selection: outcome.selection,
@@ -452,28 +439,29 @@ pub fn run_with(
                         degraded: false,
                         span: spans.start("call", now.as_ms()),
                     };
-                    if call_touches_congestion(scenario, &call, &congested_until, now.as_ms()) {
+                    if call_touches_congestion(scenario, &call, &run.congested_until, now.as_ms()) {
                         call.degraded = true;
-                        report.congestion_degraded_calls += 1;
+                        run.report.congestion_degraded_calls += 1;
                     }
                     // The path starts carrying media: occupy one relay
                     // slot per relay. Saturated relays are treated like
                     // crashed ones — every call through them fails over.
                     let saturated = system.acquire_relays(&call.relays);
-                    let id = next_call_id;
-                    next_call_id += 1;
-                    active.insert(id, call);
-                    queue.schedule(now.after_ms(sim.call_duration_ms), Event::EndCall(id));
+                    let id = run.next_call_id;
+                    run.next_call_id += 1;
+                    run.active.insert(id, call);
+                    run.queue
+                        .schedule(now.after_ms(sim.call_duration_ms), Event::EndCall(id));
                     for r in saturated {
-                        report.saturation_failovers += 1;
-                        fail_over_calls(&system, &mut active, &mut report, r, now);
+                        run.report.saturation_failovers += 1;
+                        run.fail_over_calls(&system, r, now);
                     }
                 } else {
-                    report.calls_without_path += 1;
+                    run.report.calls_without_path += 1;
                 }
             }
             Event::EndCall(id) => {
-                if let Some(call) = active.remove(&id) {
+                if let Some(call) = run.active.remove(&id) {
                     system.release_relays(&call.relays);
                     spans.end(call.span, now.as_ms());
                 }
@@ -482,47 +470,33 @@ pub fn run_with(
                 let id = ClusterId(cluster);
                 let old = system.surrogate_of(id);
                 let _ = system.fail_surrogate(id);
-                report.failovers += 1;
-                fail_over_calls(&system, &mut active, &mut report, old, now);
+                run.report.failovers += 1;
+                run.fail_over_calls(&system, old, now);
             }
             Event::Fault(i) => {
-                apply_fault(
-                    scenario,
-                    &system,
-                    plan.events()[i].kind,
-                    i,
-                    now,
-                    sim,
-                    &mut queue,
-                    &mut active,
-                    &mut congested_until,
-                    &mut partitioned_until,
-                    &mut drop_windows_active,
-                    &mut partition_spans,
-                    &mut drop_window_spans,
-                    &mut report,
-                );
+                run.apply_fault(scenario, &system, plan.events()[i].kind, i, now, sim);
             }
             Event::FaultEnd => {
                 // Only message-drop windows schedule an end event.
-                drop_windows_active = drop_windows_active.saturating_sub(1);
-                if let Some(span) = drop_window_spans.pop() {
+                run.drop_windows_active = run.drop_windows_active.saturating_sub(1);
+                if let Some(span) = run.drop_window_spans.pop() {
                     spans.end(span, now.as_ms());
                 }
-                if drop_windows_active == 0 {
+                if run.drop_windows_active == 0 {
                     system.set_message_faults(None);
                 }
             }
             Event::PartitionEnd(asn) => {
                 // Heal only once the *latest* overlapping partition of
                 // this ASN has run out.
-                if partitioned_until
+                if run
+                    .partitioned_until
                     .get(&asn)
                     .is_some_and(|&until| until <= now.as_ms())
                 {
-                    partitioned_until.remove(&asn);
+                    run.partitioned_until.remove(&asn);
                     system.heal_as(asn);
-                    if let Some(span) = partition_spans.remove(&asn) {
+                    if let Some(span) = run.partition_spans.remove(&asn) {
                         spans.end(span, now.as_ms());
                     }
                 }
@@ -532,12 +506,13 @@ pub fn run_with(
                 for h in tick.demoted {
                     // The surrogate role moved on; calls still relayed
                     // through the suspect must fail over too.
-                    report.failovers += 1;
-                    fail_over_calls(&system, &mut active, &mut report, h, now);
+                    run.report.failovers += 1;
+                    run.fail_over_calls(&system, h, now);
                 }
             }
         }
     }
+    let mut report = run.report;
     let stats = system.stats();
     report.recovery = stats.recovery;
     report.overload = stats.overload;
@@ -557,144 +532,160 @@ pub fn run_with(
     report
 }
 
-/// Applies one scheduled fault to the running system.
-///
-/// Plan-driven crashes are *silent*: the victim disappears without any
-/// notification, and its replica roles are only recovered once the
-/// suspicion detector declares it dead at a membership tick. Calls
-/// relayed through it notice immediately (the media stream stops) and
-/// fail over right away.
-#[allow(clippy::too_many_arguments)]
-fn apply_fault(
-    scenario: &Scenario,
-    system: &AsapSystem<'_>,
-    kind: FaultKind,
-    index: usize,
-    now: SimTime,
-    sim: &SimConfig,
-    queue: &mut EventQueue<Event>,
-    active: &mut BTreeMap<u64, ActiveCall>,
-    congested_until: &mut BTreeMap<u32, u64>,
-    partitioned_until: &mut BTreeMap<u32, u64>,
-    drop_windows_active: &mut u32,
-    partition_spans: &mut BTreeMap<u32, Span>,
-    drop_window_spans: &mut Vec<Span>,
-    report: &mut SimReport,
-) {
-    let spans = system.telemetry().spans().clone();
-    match kind {
-        FaultKind::SurrogateCrash { cluster } => {
-            let victim = system.surrogate_of(ClusterId(cluster));
-            let _ = system.silent_crash(victim);
-            fail_over_calls(system, active, report, victim, now);
-        }
-        FaultKind::HostCrash { host } => {
-            let victim = HostId(host);
-            let _ = system.silent_crash(victim);
-            fail_over_calls(system, active, report, victim, now);
-        }
-        FaultKind::AsPartition { asn, duration_ms } => {
-            system.partition_as(asn);
-            report.partitions += 1;
-            let until = partitioned_until.entry(asn).or_insert(0);
-            *until = (*until).max(now.as_ms() + duration_ms);
-            partition_spans
-                .entry(asn)
-                .or_insert_with(|| spans.start("partition", now.as_ms()));
-            queue.schedule(now.after_ms(duration_ms), Event::PartitionEnd(asn));
-            // Calls with an endpoint inside the cut AS lose their media
-            // path outright.
-            let of = |h: HostId| scenario.population.host(h).asn.0;
-            let severed: Vec<u64> = active
-                .iter()
-                .filter(|(_, c)| (of(c.session.caller) == asn) != (of(c.session.callee) == asn))
-                .map(|(&id, _)| id)
-                .collect();
-            for id in severed {
-                if let Some(call) = active.remove(&id) {
-                    system.release_relays(&call.relays);
-                    spans.end(call.span, now.as_ms());
-                }
-                report.partition_dropped_calls += 1;
-            }
-            // Calls merely *relayed* through the cut AS fail over.
-            let dead_relays: BTreeSet<HostId> = active
-                .values()
-                .flat_map(|c| c.relays.iter().copied())
-                .filter(|&r| of(r) == asn)
-                .collect();
-            for r in dead_relays {
-                fail_over_calls(system, active, report, r, now);
-            }
-        }
-        FaultKind::AsCongestion {
-            asn, duration_ms, ..
-        } => {
-            let until = congested_until.entry(asn).or_insert(0);
-            *until = (*until).max(now.as_ms() + duration_ms);
-            for call in active.values_mut() {
-                if !call.degraded && call_touches_asn(scenario, call, asn) {
-                    call.degraded = true;
-                    report.congestion_degraded_calls += 1;
-                }
-            }
-        }
-        FaultKind::MessageDropWindow {
-            drop_prob,
-            duration_ms,
-        } => {
-            *drop_windows_active += 1;
-            drop_window_spans.push(spans.start("drop_window", now.as_ms()));
-            system.set_message_faults(Some(MessageDrops::new(
-                drop_prob,
-                sim.seed ^ ((index as u64) << 20) ^ 0xD20F,
-            )));
-            queue.schedule(now.after_ms(duration_ms), Event::FaultEnd);
-        }
-        FaultKind::StaleCloseSet { cluster } => {
-            system.expire_close_set(ClusterId(cluster));
-        }
-    }
+/// The event loop's own state: the queue, the calls in progress, the
+/// live fault windows with their telemetry spans, and the report so far.
+#[derive(Default)]
+struct Run {
+    queue: EventQueue<Event>,
+    /// BTreeMap so iteration (failover scans, congestion marking) is
+    /// deterministic.
+    active: BTreeMap<u64, ActiveCall>,
+    next_call_id: u64,
+    /// ASN → congestion-burst end time (virtual ms).
+    congested_until: BTreeMap<u32, u64>,
+    /// ASN → partition end time (virtual ms).
+    partitioned_until: BTreeMap<u32, u64>,
+    drop_windows_active: u32,
+    /// Open telemetry spans: one per live partition, a LIFO stack for
+    /// (possibly overlapping) message-drop windows.
+    partition_spans: BTreeMap<u32, Span>,
+    drop_window_spans: Vec<Span>,
+    report: SimReport,
 }
 
-/// Fails over every active call relayed through `dead_host`: re-pick
-/// from the cached candidate set, or tear the call down when even the
-/// direct fallback is unroutable.
-fn fail_over_calls(
-    system: &AsapSystem<'_>,
-    active: &mut BTreeMap<u64, ActiveCall>,
-    report: &mut SimReport,
-    dead_host: HostId,
-    now: SimTime,
-) {
-    let affected: Vec<u64> = active
-        .iter()
-        .filter(|(_, c)| c.relays.contains(&dead_host))
-        .map(|(&id, _)| id)
-        .collect();
-    for id in affected {
-        let call = active.get_mut(&id).expect("collected from the map");
-        call.dead.push(dead_host);
-        // The failover re-ping is recorded in the system's ledger scope.
-        let replacement = call.selection.as_ref().and_then(|sel| {
-            system.failover_path(call.session.caller, call.session.callee, sel, &call.dead)
-        });
-        match replacement {
-            Some(path) => {
-                // Swap the slot occupancy to the replacement path. A
-                // cascade (the replacement saturating too) is not chased
-                // here: the load-aware re-pick already routed around
-                // busy relays, and the next placement will again.
-                system.release_relays(&call.relays);
-                let _ = system.acquire_relays(&path.relays);
-                call.relays = path.relays;
-                report.midcall_failovers += 1;
+impl Run {
+    /// Applies one scheduled fault to the running system.
+    ///
+    /// Plan-driven crashes are *silent*: the victim disappears without
+    /// any notification, and its replica roles are only recovered once
+    /// the suspicion detector declares it dead at a membership tick.
+    /// Calls relayed through it notice immediately (the media stream
+    /// stops) and fail over right away.
+    fn apply_fault(
+        &mut self,
+        scenario: &Scenario,
+        system: &AsapSystem<'_>,
+        kind: FaultKind,
+        index: usize,
+        now: SimTime,
+        sim: &SimConfig,
+    ) {
+        let spans = system.telemetry().spans().clone();
+        match kind {
+            FaultKind::SurrogateCrash { cluster } => {
+                let victim = system.surrogate_of(ClusterId(cluster));
+                let _ = system.silent_crash(victim);
+                self.fail_over_calls(system, victim, now);
             }
-            None => {
-                report.calls_dropped += 1;
-                let call = active.remove(&id).expect("still in the map");
-                system.release_relays(&call.relays);
-                system.telemetry().spans().end(call.span, now.as_ms());
+            FaultKind::HostCrash { host } => {
+                let victim = HostId(host);
+                let _ = system.silent_crash(victim);
+                self.fail_over_calls(system, victim, now);
+            }
+            FaultKind::AsPartition { asn, duration_ms } => {
+                system.partition_as(asn);
+                self.report.partitions += 1;
+                let until = self.partitioned_until.entry(asn).or_insert(0);
+                *until = (*until).max(now.as_ms() + duration_ms);
+                self.partition_spans
+                    .entry(asn)
+                    .or_insert_with(|| spans.start("partition", now.as_ms()));
+                self.queue
+                    .schedule(now.after_ms(duration_ms), Event::PartitionEnd(asn));
+                // Calls with an endpoint inside the cut AS lose their
+                // media path outright.
+                let of = |h: HostId| scenario.population.host(h).asn.0;
+                let severed: Vec<u64> = self
+                    .active
+                    .iter()
+                    .filter(|(_, c)| (of(c.session.caller) == asn) != (of(c.session.callee) == asn))
+                    .map(|(&id, _)| id)
+                    .collect();
+                for id in severed {
+                    if let Some(call) = self.active.remove(&id) {
+                        system.release_relays(&call.relays);
+                        spans.end(call.span, now.as_ms());
+                    }
+                    self.report.partition_dropped_calls += 1;
+                }
+                // Calls merely *relayed* through the cut AS fail over.
+                let dead_relays: BTreeSet<HostId> = self
+                    .active
+                    .values()
+                    .flat_map(|c| c.relays.iter().copied())
+                    .filter(|&r| of(r) == asn)
+                    .collect();
+                for r in dead_relays {
+                    self.fail_over_calls(system, r, now);
+                }
+            }
+            FaultKind::AsCongestion {
+                asn, duration_ms, ..
+            } => {
+                let until = self.congested_until.entry(asn).or_insert(0);
+                *until = (*until).max(now.as_ms() + duration_ms);
+                for call in self.active.values_mut() {
+                    if !call.degraded && call_touches_asn(scenario, call, asn) {
+                        call.degraded = true;
+                        self.report.congestion_degraded_calls += 1;
+                    }
+                }
+            }
+            FaultKind::MessageDropWindow {
+                drop_prob,
+                duration_ms,
+            } => {
+                self.drop_windows_active += 1;
+                self.drop_window_spans
+                    .push(spans.start("drop_window", now.as_ms()));
+                system.set_message_faults(Some(MessageDrops::new(
+                    drop_prob,
+                    sim.seed ^ ((index as u64) << 20) ^ 0xD20F,
+                )));
+                self.queue
+                    .schedule(now.after_ms(duration_ms), Event::FaultEnd);
+            }
+            FaultKind::StaleCloseSet { cluster } => {
+                system.expire_close_set(ClusterId(cluster));
+            }
+        }
+    }
+
+    /// Fails over every active call relayed through `dead_host`: re-pick
+    /// from the cached candidate set, or tear the call down when even
+    /// the direct fallback is unroutable.
+    fn fail_over_calls(&mut self, system: &AsapSystem<'_>, dead_host: HostId, now: SimTime) {
+        let affected: Vec<u64> = self
+            .active
+            .iter()
+            .filter(|(_, c)| c.relays.contains(&dead_host))
+            .map(|(&id, _)| id)
+            .collect();
+        for id in affected {
+            let call = self.active.get_mut(&id).expect("collected from the map");
+            call.dead.push(dead_host);
+            // The failover re-ping is recorded in the system's ledger scope.
+            let replacement = call.selection.as_ref().and_then(|sel| {
+                system.failover_path(call.session.caller, call.session.callee, sel, &call.dead)
+            });
+            match replacement {
+                Some(path) => {
+                    // Swap the slot occupancy to the replacement path. A
+                    // cascade (the replacement saturating too) is not
+                    // chased here: the load-aware re-pick already routed
+                    // around busy relays, and the next placement will
+                    // again.
+                    system.release_relays(&call.relays);
+                    let _ = system.acquire_relays(&path.relays);
+                    call.relays = path.relays;
+                    self.report.midcall_failovers += 1;
+                }
+                None => {
+                    self.report.calls_dropped += 1;
+                    let call = self.active.remove(&id).expect("still in the map");
+                    system.release_relays(&call.relays);
+                    system.telemetry().spans().end(call.span, now.as_ms());
+                }
             }
         }
     }

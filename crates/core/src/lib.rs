@@ -69,7 +69,3 @@ pub use system::{
     AsapSystem, CallOutcome, ChosenPath, FetchResult, MembershipTickReport, OverloadStats,
     RecoveryStats, SystemStats,
 };
-
-/// The panic message when a lock's holder panicked: the state behind
-/// the lock may be half-updated, so no later reader may trust it.
-pub(crate) const POISONED: &str = "a thread panicked while holding this lock";

@@ -205,6 +205,15 @@ mod tests {
         }
     }
 
+    /// Each shard bootstraps its own `AsapSystem` and is its only user:
+    /// a system may move to a worker thread, but no two threads ever
+    /// share one, so its state needs no locks.
+    #[test]
+    fn asap_system_is_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<crate::AsapSystem<'static>>();
+    }
+
     #[test]
     fn shard_seeds_are_distinct_and_stable() {
         let a = shard_seed(42, 0);

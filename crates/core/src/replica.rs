@@ -94,11 +94,6 @@ impl ReplicaTable {
         self.sets.len()
     }
 
-    /// The replica sets in cluster-id order.
-    pub(crate) fn iter(&self) -> std::slice::Iter<'_, ReplicaSet> {
-        self.sets.iter()
-    }
-
     /// The primary surrogate of every cluster, indexed by `ClusterId.0`.
     pub(crate) fn primaries(&self) -> &[HostId] {
         &self.primaries

@@ -24,8 +24,9 @@
 //! `surrogate_of` at pick time. Without quorum the cluster falls back to a
 //! cold re-election with the PR1 purge semantics.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::cell::{Cell, RefCell, RefMut};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 use asap_cluster::{Asn, ClusterId};
 use asap_netsim::capacity::{Admission, AdmissionQueue, RelaySlots, ShedCause, SlotVerdict};
@@ -41,7 +42,6 @@ use crate::config::AsapConfig;
 use crate::ladder::{DegradationLadder, DegradationLevel};
 use crate::replica::{ReplicaSet, ReplicaTable};
 use crate::select::{select_close_relay, CloseRelaySelection};
-use crate::POISONED;
 
 /// Counters of everything the system spent recovering from faults:
 /// dropped control messages, crashed surrogates, dead mid-call relays,
@@ -289,6 +289,11 @@ pub struct MembershipTickReport {
 /// them — in the deployed system this is continuous background work; in
 /// the simulation laziness keeps experiments fast without changing any
 /// observable result.
+///
+/// A system has one owner: its mutable state sits in `Cell`/`RefCell`
+/// fields behind `&self` methods, so it is `Send` but not `Sync`. Each
+/// method borrows a cell only for as long as it calls nothing that
+/// borrows the same cell again.
 #[derive(Debug)]
 pub struct AsapSystem<'a> {
     scenario: &'a Scenario,
@@ -296,37 +301,37 @@ pub struct AsapSystem<'a> {
     index: ClusterIndex,
     /// Per-cluster replica sets, epochs and primaries (indexed by
     /// `ClusterId.0`).
-    replicas: Mutex<ReplicaTable>,
+    replicas: RefCell<ReplicaTable>,
     /// Close-set requests served, per (cluster, surrogate) — used to
     /// verify load sharing.
-    surrogate_load: Mutex<std::collections::HashMap<(ClusterId, HostId), u64>>,
+    surrogate_load: RefCell<HashMap<(ClusterId, HostId), u64>>,
     /// Hosts marked offline (failed surrogates stay out of elections).
-    offline: Mutex<Vec<bool>>,
+    offline: RefCell<Vec<bool>>,
     /// Memoized per-cluster close sets with epoch-snapshot invalidation
     /// (see [`CloseSetCache`] for the invalidation rules).
-    close_sets: CloseSetCache,
+    close_sets: RefCell<CloseSetCache>,
     /// Injected control-message drop decider (None = healthy network).
-    message_faults: Mutex<Option<MessageDrops>>,
+    message_faults: Cell<Option<MessageDrops>>,
     /// Phi-accrual liveness over every current and former replica member.
-    membership: Mutex<MembershipView>,
+    membership: RefCell<MembershipView>,
     /// Per-cluster graceful-degradation ladder state.
-    ladders: Mutex<Vec<DegradationLadder>>,
+    ladders: RefCell<Vec<DegradationLadder>>,
     /// Per-(cluster, surrogate) admission queues: the virtual-service-
     /// clock request budget with its bounded, deadline-aware queue.
-    admissions: Mutex<BTreeMap<(ClusterId, HostId), AdmissionQueue>>,
+    admissions: RefCell<BTreeMap<(ClusterId, HostId), AdmissionQueue>>,
     /// Per-host relay-call slot occupancy (`None` when the capacity
     /// model is disabled).
-    relay_slots: Option<Mutex<RelaySlots>>,
+    relay_slots: Option<RefCell<RelaySlots>>,
     /// Registry handles: the store of the overload counters and of the
     /// close-set cache outcomes.
     meters: Meters,
     /// ASNs currently cut off by an AS partition (hosts intact but
     /// silent to the outside).
-    partitioned: Mutex<BTreeSet<u32>>,
+    partitioned: RefCell<BTreeSet<u32>>,
     /// Monotonic virtual clock, advanced by the event-driven runtime.
-    clock_ms: Mutex<u64>,
+    clock_ms: Cell<u64>,
     /// The counters with no other store (see [`AsapSystem::stats`]).
-    stats: Mutex<Tallies>,
+    stats: RefCell<Tallies>,
     /// Shared telemetry context (registry + ledger + spans).
     telemetry: Telemetry,
     /// Per-session protocol messages, by kind (the Fig. 18 quantity).
@@ -443,7 +448,7 @@ impl<'a> AsapSystem<'a> {
         let offline = vec![false; scenario.population.hosts().len()];
         let cluster_count = scenario.population.clustering().cluster_count();
         let relay_slots = config.capacity.enabled.then(|| {
-            Mutex::new(RelaySlots::new(
+            RefCell::new(RelaySlots::new(
                 &config.capacity,
                 scenario
                     .population
@@ -452,23 +457,23 @@ impl<'a> AsapSystem<'a> {
                     .map(|h| h.nodal.capability()),
             ))
         });
-        let system = AsapSystem {
+        let mut system = AsapSystem {
             scenario,
             config,
             index,
-            replicas: Mutex::new(ReplicaTable::default()),
-            surrogate_load: Mutex::new(Default::default()),
-            offline: Mutex::new(offline),
-            close_sets: CloseSetCache::new(),
-            message_faults: Mutex::new(None),
-            membership: Mutex::new(MembershipView::new(config.membership.suspicion)),
-            ladders: Mutex::new(vec![DegradationLadder::default(); cluster_count]),
-            admissions: Mutex::new(BTreeMap::new()),
+            replicas: RefCell::default(),
+            surrogate_load: RefCell::default(),
+            offline: RefCell::new(offline),
+            close_sets: RefCell::default(),
+            message_faults: Cell::new(None),
+            membership: RefCell::new(MembershipView::new(config.membership.suspicion)),
+            ladders: RefCell::new(vec![DegradationLadder::default(); cluster_count]),
+            admissions: RefCell::default(),
             relay_slots,
             meters: Meters::new(telemetry, scope_name),
-            partitioned: Mutex::new(BTreeSet::new()),
-            clock_ms: Mutex::new(0),
-            stats: Mutex::new(Tallies::default()),
+            partitioned: RefCell::default(),
+            clock_ms: Cell::new(0),
+            stats: RefCell::default(),
             telemetry: telemetry.clone(),
             scope: telemetry.ledger().scope(scope_name),
             construction_scope: telemetry
@@ -478,25 +483,18 @@ impl<'a> AsapSystem<'a> {
                 .registry()
                 .histogram(&format!("{scope_name}.call.rtt_ms")),
         };
-        let clustering = scenario.population.clustering();
-        let mut replicas = Vec::with_capacity(clustering.cluster_count());
-        for c in clustering.clusters() {
-            replicas.push(system.elect_split(c.id(), &[]));
-        }
-        *system.replicas.lock().expect(POISONED) = ReplicaTable::new(replicas);
-        let members: Vec<u32> = system
-            .replicas
-            .lock()
-            .expect(POISONED)
+        let replicas: Vec<ReplicaSet> = scenario
+            .population
+            .clustering()
+            .clusters()
             .iter()
-            .flat_map(|r| r.members())
-            .map(|h| h.0)
+            .map(|c| system.elect_split(c.id(), &[]))
             .collect();
-        let mut view = system.membership.lock().expect(POISONED);
-        for m in members {
-            view.heartbeat(m, 0);
+        let view = system.membership.get_mut();
+        for m in replicas.iter().flat_map(|r| r.members()) {
+            view.heartbeat(m.0, 0);
         }
-        drop(view);
+        *system.replicas.get_mut() = ReplicaTable::new(replicas);
         system
     }
 
@@ -523,12 +521,11 @@ impl<'a> AsapSystem<'a> {
     /// every cache miss builds one close set, and every cluster was
     /// elected once at bootstrap plus once per cold re-election.
     pub fn stats(&self) -> SystemStats {
-        let t = *self.stats.lock().expect(POISONED);
+        let t = *self.stats.borrow();
         let m = &self.meters;
         let (downgrades, ladder_recoveries) = self
             .ladders
-            .lock()
-            .expect(POISONED)
+            .borrow()
             .iter()
             .fold((0, 0), |(d, r), l| (d + l.downgrades, r + l.recoveries));
         let clusters = self.scenario.population.clustering().cluster_count() as u64;
@@ -584,13 +581,17 @@ impl<'a> AsapSystem<'a> {
 
     /// Advances the monotonic virtual clock (late values are ignored).
     pub fn advance_to(&self, now_ms: u64) {
-        let mut clock = self.clock_ms.lock().expect(POISONED);
-        *clock = (*clock).max(now_ms);
+        self.clock_ms.set(self.clock_ms.get().max(now_ms));
     }
 
     /// The current virtual time in milliseconds.
     pub fn now_ms(&self) -> u64 {
-        *self.clock_ms.lock().expect(POISONED)
+        self.clock_ms.get()
+    }
+
+    /// The recovery tallies, borrowed for an update.
+    fn recovery(&self) -> RefMut<'_, RecoveryStats> {
+        RefMut::map(self.stats.borrow_mut(), |t| &mut t.recovery)
     }
 
     /// The current primary surrogate of `cluster`.
@@ -599,7 +600,7 @@ impl<'a> AsapSystem<'a> {
     ///
     /// Panics if the cluster id is out of range.
     pub fn surrogate_of(&self, cluster: ClusterId) -> HostId {
-        self.replicas.lock().expect(POISONED)[cluster].primary()
+        self.replicas.borrow()[cluster].primary()
     }
 
     /// All current active surrogates of `cluster` (large clusters elect
@@ -609,21 +610,17 @@ impl<'a> AsapSystem<'a> {
     ///
     /// Panics if the cluster id is out of range.
     pub fn surrogates_of(&self, cluster: ClusterId) -> Vec<HostId> {
-        self.replicas.lock().expect(POISONED)[cluster]
-            .active
-            .clone()
+        self.replicas.borrow()[cluster].active.clone()
     }
 
     /// The current warm standbys of `cluster`, best first.
     pub fn standbys_of(&self, cluster: ClusterId) -> Vec<HostId> {
-        self.replicas.lock().expect(POISONED)[cluster]
-            .standbys
-            .clone()
+        self.replicas.borrow()[cluster].standbys.clone()
     }
 
     /// A snapshot of `cluster`'s full replica set.
     pub fn replica_set_of(&self, cluster: ClusterId) -> ReplicaSet {
-        self.replicas.lock().expect(POISONED)[cluster].clone()
+        self.replicas.borrow()[cluster].clone()
     }
 
     /// The surrogate of `cluster` that serves `requester`'s close-set
@@ -640,13 +637,14 @@ impl<'a> AsapSystem<'a> {
     /// bumping any load counter — admission control must know the
     /// target before deciding whether the request is served at all.
     fn route_surrogate(&self, cluster: ClusterId, requester: HostId) -> HostId {
-        let actives = self.surrogates_of(cluster);
+        let replicas = self.replicas.borrow();
+        let actives = &replicas[cluster].active;
         let usable: Vec<HostId> = actives
             .iter()
             .copied()
             .filter(|&h| self.host_usable(h))
             .collect();
-        let pool = if usable.is_empty() { &actives } else { &usable };
+        let pool = if usable.is_empty() { actives } else { &usable };
         pool[(requester.0 as usize) % pool.len()]
     }
 
@@ -655,7 +653,7 @@ impl<'a> AsapSystem<'a> {
     /// is exactly the load relief the admission queue buys.
     fn record_surrogate_load(&self, cluster: ClusterId, surrogate: HostId) {
         let served = {
-            let mut load = self.surrogate_load.lock().expect(POISONED);
+            let mut load = self.surrogate_load.borrow_mut();
             let entry = load.entry((cluster, surrogate)).or_insert(0);
             *entry += 1;
             *entry
@@ -668,8 +666,7 @@ impl<'a> AsapSystem<'a> {
     /// `cluster`.
     pub fn surrogate_load(&self, cluster: ClusterId, surrogate: HostId) -> u64 {
         self.surrogate_load
-            .lock()
-            .expect(POISONED)
+            .borrow()
             .get(&(cluster, surrogate))
             .copied()
             .unwrap_or(0)
@@ -692,7 +689,7 @@ impl<'a> AsapSystem<'a> {
         }
         let now = self.now_ms();
         let (verdict, max_depth) = {
-            let mut queues = self.admissions.lock().expect(POISONED);
+            let mut queues = self.admissions.borrow_mut();
             let queue = queues
                 .entry((cluster, surrogate))
                 .or_insert_with(|| AdmissionQueue::new(&self.config.capacity));
@@ -703,7 +700,7 @@ impl<'a> AsapSystem<'a> {
             Admission::Admit { waited_ms: 0, .. } => meters.admitted.inc(),
             Admission::Admit { waited_ms, .. } => {
                 meters.queued.inc();
-                self.stats.lock().expect(POISONED).queue_wait_ms += waited_ms;
+                self.stats.borrow_mut().queue_wait_ms += waited_ms;
             }
             Admission::Shed(ShedCause::QueueFull) => meters.shed_queue_full.inc(),
             Admission::Shed(ShedCause::DeadlineExceeded) => meters.shed_deadline.inc(),
@@ -760,16 +757,16 @@ impl<'a> AsapSystem<'a> {
 
     /// Whether `host` is currently online.
     pub fn is_online(&self, host: HostId) -> bool {
-        !self.offline.lock().expect(POISONED)[host.0 as usize]
+        !self.offline.borrow()[host.0 as usize]
     }
 
     /// Physical reachability: online and not behind an AS partition.
     fn host_reachable(&self, host: HostId) -> bool {
-        if self.offline.lock().expect(POISONED)[host.0 as usize] {
+        if self.offline.borrow()[host.0 as usize] {
             return false;
         }
         let asn = self.scenario.population.host(host).asn.0;
-        !self.partitioned.lock().expect(POISONED).contains(&asn)
+        !self.partitioned.borrow().contains(&asn)
     }
 
     /// Whether the system would route through `host`: physically
@@ -783,48 +780,50 @@ impl<'a> AsapSystem<'a> {
     /// (unmonitored hosts are [`Verdict::Alive`]).
     pub fn relay_verdict(&self, host: HostId) -> Verdict {
         let now = self.now_ms();
-        self.membership.lock().expect(POISONED).verdict(host.0, now)
+        self.membership.borrow().verdict(host.0, now)
     }
 
     /// Whether `cluster`'s control plane can answer a close-set request:
     /// at least one active surrogate is usable.
     pub fn cluster_control_usable(&self, cluster: ClusterId) -> bool {
-        let actives = self.surrogates_of(cluster);
-        actives.iter().any(|&h| self.host_usable(h))
+        self.replicas.borrow()[cluster]
+            .active
+            .iter()
+            .any(|&h| self.host_usable(h))
     }
 
     /// The current surrogate epoch of `cluster` (advances on every
     /// handoff, re-election, or forced staleness).
     pub fn surrogate_epoch(&self, cluster: ClusterId) -> u64 {
-        self.replicas.lock().expect(POISONED)[cluster].epoch
+        self.replicas.borrow()[cluster].epoch
     }
 
     /// The ladder state of `cluster` (for soak-harness assertions).
     pub fn ladder_of(&self, cluster: ClusterId) -> DegradationLadder {
-        self.ladders.lock().expect(POISONED)[cluster.0 as usize]
+        self.ladders.borrow()[cluster.0 as usize]
     }
 
     /// Cuts `asn` off: its hosts stay up but no traffic crosses the
     /// partition, so heartbeats stop and fetches into it fail.
     pub fn partition_as(&self, asn: u32) {
-        self.partitioned.lock().expect(POISONED).insert(asn);
+        self.partitioned.borrow_mut().insert(asn);
     }
 
     /// Heals a partition: traffic (and heartbeats) flow again.
     pub fn heal_as(&self, asn: u32) {
-        self.partitioned.lock().expect(POISONED).remove(&asn);
+        self.partitioned.borrow_mut().remove(&asn);
     }
 
     /// Whether `asn` is currently partitioned.
     pub fn is_partitioned(&self, asn: u32) -> bool {
-        self.partitioned.lock().expect(POISONED).contains(&asn)
+        self.partitioned.borrow().contains(&asn)
     }
 
     /// Installs (or clears) an injected control-message drop decider.
     /// While set, close-set fetches may time out and go through the
     /// [`AsapConfig::retry`] schedule.
     pub fn set_message_faults(&self, faults: Option<MessageDrops>) {
-        *self.message_faults.lock().expect(POISONED) = faults;
+        self.message_faults.set(faults);
     }
 
     /// Handles an announced primary-surrogate failure: marks the host
@@ -846,8 +845,7 @@ impl<'a> AsapSystem<'a> {
         }
         let cluster = self.scenario.population.cluster_of(host);
         let (is_active, is_standby) = {
-            let replicas = self.replicas.lock().expect(POISONED);
-            let rs = &replicas[cluster];
+            let rs = &self.replicas.borrow()[cluster];
             (rs.active.contains(&host), rs.standbys.contains(&host))
         };
         if is_active {
@@ -856,8 +854,7 @@ impl<'a> AsapSystem<'a> {
         } else {
             if is_standby {
                 self.replicas
-                    .lock()
-                    .expect(POISONED)
+                    .borrow_mut()
                     .standbys_mut(cluster)
                     .retain(|&h| h != host);
                 self.backfill_standbys(cluster);
@@ -875,14 +872,12 @@ impl<'a> AsapSystem<'a> {
             return false;
         }
         let cluster = self.scenario.population.cluster_of(host);
-        self.replicas.lock().expect(POISONED)[cluster]
-            .active
-            .contains(&host)
+        self.replicas.borrow()[cluster].active.contains(&host)
     }
 
     /// Marks `host` offline; `false` if it already was.
     fn mark_offline(&self, host: HostId) -> bool {
-        let mut offline = self.offline.lock().expect(POISONED);
+        let mut offline = self.offline.borrow_mut();
         if offline[host.0 as usize] {
             return false;
         }
@@ -896,72 +891,51 @@ impl<'a> AsapSystem<'a> {
     /// but cached close sets are refreshed in place. Otherwise the
     /// cluster cold-re-elects and dependent cache entries are purged.
     fn handle_surrogate_loss(&self, cluster: ClusterId, lost: HostId) {
-        let (set_size, slot, survivors) = {
-            let replicas = self.replicas.lock().expect(POISONED);
-            let rs = &replicas[cluster];
+        let (set_size, slot, usable, promoted) = {
+            let rs = &self.replicas.borrow()[cluster];
+            let Some(slot) = rs.active.iter().position(|&h| h == lost) else {
+                return; // not an active surrogate (already demoted)
+            };
             let members = rs.members();
-            (
-                members.len(),
-                rs.active.iter().position(|&h| h == lost),
-                members
-                    .into_iter()
-                    .filter(|&h| h != lost)
-                    .collect::<Vec<_>>(),
-            )
+            let usable: Vec<HostId> = members
+                .iter()
+                .copied()
+                .filter(|&h| h != lost && self.host_usable(h))
+                .collect();
+            let promoted = usable.iter().copied().find(|h| rs.standbys.contains(h));
+            (members.len(), slot, usable.len(), promoted)
         };
-        let Some(slot) = slot else {
-            return; // not an active surrogate (already demoted)
-        };
-        let usable: Vec<HostId> = survivors
-            .iter()
-            .copied()
-            .filter(|&h| self.host_usable(h))
-            .collect();
-        let quorum = usable.len() * 2 >= set_size;
-        let promoted = {
-            let replicas = self.replicas.lock().expect(POISONED);
-            let standbys = &replicas[cluster].standbys;
-            usable.iter().copied().find(|h| standbys.contains(h))
-        };
+        let quorum = usable * 2 >= set_size;
         if let (true, Some(promoted)) = (quorum, promoted) {
-            let epoch = self
-                .replicas
-                .lock()
-                .expect(POISONED)
-                .promote(cluster, slot, promoted);
+            let epoch = self.replicas.borrow_mut().promote(cluster, slot, promoted);
             self.refresh_epoch(cluster, epoch);
             self.backfill_standbys(cluster);
-            let mut stats = self.stats.lock().expect(POISONED);
-            stats.recovery.warm_handoffs += 1;
+            let mut recovery = self.recovery();
+            recovery.warm_handoffs += 1;
             // One quorum round among the replica set plus the bootstrap
             // notification.
-            stats.recovery.recovery_messages += 2 + set_size as u64;
-            drop(stats);
+            recovery.recovery_messages += 2 + set_size as u64;
             self.scope
                 .record_for_cluster(cluster.0, MessageKind::Handoff, 2 + set_size as u64);
         } else {
             let fresh = self.elect_split(cluster, &[lost]);
             let new_members = fresh.members();
-            self.replicas
-                .lock()
-                .expect(POISONED)
-                .replace(cluster, fresh);
+            self.replicas.borrow_mut().replace(cluster, fresh);
             self.purge_referencing(cluster);
             {
-                let mut view = self.membership.lock().expect(POISONED);
+                let mut view = self.membership.borrow_mut();
                 for h in new_members {
                     view.watch(h.0);
                 }
             }
             let members = self.scenario.population.cluster_members(cluster).len() as u64;
-            let mut stats = self.stats.lock().expect(POISONED);
-            stats.recovery.re_elections += 1;
+            let mut recovery = self.recovery();
+            recovery.re_elections += 1;
             if !quorum {
-                stats.recovery.quorum_failures += 1;
+                recovery.quorum_failures += 1;
             }
             // Bootstrap notification (2 messages) plus one per member.
-            stats.recovery.recovery_messages += 2 + members;
-            drop(stats);
+            recovery.recovery_messages += 2 + members;
             self.scope
                 .record_for_cluster(cluster.0, MessageKind::Election, 2 + members);
         }
@@ -977,8 +951,7 @@ impl<'a> AsapSystem<'a> {
         };
         loop {
             let (current, have) = {
-                let replicas = self.replicas.lock().expect(POISONED);
-                let rs = &replicas[cluster];
+                let rs = &self.replicas.borrow()[cluster];
                 (rs.members(), rs.standbys.len())
             };
             if have >= want {
@@ -996,11 +969,10 @@ impl<'a> AsapSystem<'a> {
                 return; // nobody left to recruit
             };
             self.replicas
-                .lock()
-                .expect(POISONED)
+                .borrow_mut()
                 .standbys_mut(cluster)
                 .push(candidate);
-            self.membership.lock().expect(POISONED).watch(candidate.0);
+            self.membership.borrow_mut().watch(candidate.0);
         }
     }
 
@@ -1011,26 +983,24 @@ impl<'a> AsapSystem<'a> {
     /// is kept rather than churning pointless elections.
     pub fn membership_tick(&self, now_ms: u64) -> MembershipTickReport {
         self.advance_to(now_ms);
-        let watched = self.membership.lock().expect(POISONED).watched();
         let mut heartbeats = 0u64;
-        for id in watched {
-            if self.host_reachable(HostId(id)) {
-                self.membership
-                    .lock()
-                    .expect(POISONED)
-                    .heartbeat(id, now_ms);
-                self.scope.record_for_node(id, MessageKind::Heartbeat, 1);
-                heartbeats += 1;
+        {
+            let mut view = self.membership.borrow_mut();
+            for id in view.watched() {
+                if self.host_reachable(HostId(id)) {
+                    view.heartbeat(id, now_ms);
+                    self.scope.record_for_node(id, MessageKind::Heartbeat, 1);
+                    heartbeats += 1;
+                }
             }
         }
-        let cluster_count = self.replicas.lock().expect(POISONED).len();
+        let cluster_count = self.replicas.borrow().len();
         let mut demoted = Vec::new();
         for c in 0..cluster_count {
             let cluster = ClusterId(c as u32);
             let (dead_active, dead_standby) = {
-                let replicas = self.replicas.lock().expect(POISONED);
-                let view = self.membership.lock().expect(POISONED);
-                let rs = &replicas[cluster];
+                let rs = &self.replicas.borrow()[cluster];
+                let view = self.membership.borrow();
                 let dead = |h: &&HostId| view.verdict(h.0, now_ms) == Verdict::Dead;
                 (
                     rs.active.iter().filter(dead).copied().collect::<Vec<_>>(),
@@ -1045,30 +1015,24 @@ impl<'a> AsapSystem<'a> {
                 continue; // nothing better to promote
             }
             for h in dead_active {
-                if !self.replicas.lock().expect(POISONED)[cluster]
-                    .active
-                    .contains(&h)
-                {
+                if !self.replicas.borrow()[cluster].active.contains(&h) {
                     continue; // a cold re-election already replaced it
                 }
-                self.stats.lock().expect(POISONED).recovery.suspected_dead += 1;
+                self.recovery().suspected_dead += 1;
                 self.handle_surrogate_loss(cluster, h);
                 demoted.push(h);
             }
             let lingering: Vec<HostId> = {
-                let replicas = self.replicas.lock().expect(POISONED);
+                let standbys = &self.replicas.borrow()[cluster].standbys;
                 dead_standby
-                    .iter()
-                    .copied()
-                    .filter(|h| replicas[cluster].standbys.contains(h))
+                    .into_iter()
+                    .filter(|h| standbys.contains(h))
                     .collect()
             };
             if !lingering.is_empty() {
-                self.stats.lock().expect(POISONED).recovery.suspected_dead +=
-                    lingering.len() as u64;
+                self.recovery().suspected_dead += lingering.len() as u64;
                 self.replicas
-                    .lock()
-                    .expect(POISONED)
+                    .borrow_mut()
                     .standbys_mut(cluster)
                     .retain(|h| !lingering.contains(h));
                 self.backfill_standbys(cluster);
@@ -1084,7 +1048,7 @@ impl<'a> AsapSystem<'a> {
     /// rotated without a handoff — so every cached close set referencing
     /// it rebuilds on next use (the `StaleCloseSet` fault).
     pub fn expire_close_set(&self, cluster: ClusterId) {
-        self.replicas.lock().expect(POISONED).expire(cluster);
+        self.replicas.borrow_mut().expire(cluster);
         self.purge_referencing(cluster);
     }
 
@@ -1093,19 +1057,15 @@ impl<'a> AsapSystem<'a> {
     /// close sets are cluster-level and relays resolve through
     /// `surrogate_of` at pick time.
     fn refresh_epoch(&self, cluster: ClusterId, epoch: u64) {
-        self.close_sets.refresh_epoch(cluster, epoch);
+        self.close_sets.borrow_mut().refresh_epoch(cluster, epoch);
     }
 
     /// Eagerly purges every cached close set that references `cluster`,
     /// so no stale entry can ever be served after a cold epoch change.
     fn purge_referencing(&self, cluster: ClusterId) {
-        let dropped = self.close_sets.purge_referencing(cluster);
+        let dropped = self.close_sets.borrow_mut().purge_referencing(cluster);
         if dropped > 0 {
-            self.stats
-                .lock()
-                .expect(POISONED)
-                .recovery
-                .cache_invalidations += dropped;
+            self.recovery().cache_invalidations += dropped;
         }
     }
 
@@ -1114,8 +1074,10 @@ impl<'a> AsapSystem<'a> {
     /// eager purging and in-place warm refreshes this must hold at every
     /// moment).
     pub fn cache_epoch_consistent(&self) -> bool {
-        let replicas = self.replicas.lock().expect(POISONED);
-        self.close_sets.epoch_consistent(|cl| replicas[cl].epoch)
+        let replicas = self.replicas.borrow();
+        self.close_sets
+            .borrow()
+            .epoch_consistent(|cl| replicas[cl].epoch)
     }
 
     /// The join flow (steps 1–4 of Fig. 8): the host learns its ASN and
@@ -1126,7 +1088,7 @@ impl<'a> AsapSystem<'a> {
         let h = self.scenario.population.host(host);
         let cluster = self.scenario.population.cluster_of(host);
         let surrogate = self.serving_surrogate(cluster, host);
-        self.stats.lock().expect(POISONED).joins += 1;
+        self.stats.borrow_mut().joins += 1;
         self.scope.record(MessageKind::JoinRequest, 1);
         self.scope.record(MessageKind::JoinReply, 1);
         self.scope.record(MessageKind::CloseSetRequest, 1);
@@ -1138,24 +1100,20 @@ impl<'a> AsapSystem<'a> {
     /// the surrogate has not built one yet (or if the cached copy went
     /// stale because a referenced cluster cold-re-elected).
     pub fn close_set_of(&self, cluster: ClusterId) -> Arc<CloseClusterSet> {
-        let replicas = self.replicas.lock().expect(POISONED);
-        match self
+        let replicas = self.replicas.borrow();
+        let lookup = self
             .close_sets
-            .lookup(cluster, replicas.generation(), |cl| replicas[cl].epoch)
-        {
+            .borrow_mut()
+            .lookup(cluster, replicas.generation(), |cl| replicas[cl].epoch);
+        match lookup {
             CacheLookup::Hit(set) => {
-                drop(replicas);
                 self.meters.cache_hits.inc();
                 return set;
             }
             CacheLookup::Stale => {
                 // Defensive: eager purging should have removed it.
                 self.meters.cache_misses.inc();
-                self.stats
-                    .lock()
-                    .expect(POISONED)
-                    .recovery
-                    .cache_invalidations += 1;
+                self.recovery().cache_invalidations += 1;
             }
             CacheLookup::Miss => self.meters.cache_misses.inc(),
         }
@@ -1173,7 +1131,6 @@ impl<'a> AsapSystem<'a> {
         for entry in set.entries() {
             deps.push((entry.cluster, replicas[entry.cluster].epoch));
         }
-        drop(replicas);
         // Construction cost is probe round trips, attributed to the
         // cluster whose surrogate did the measuring.
         let probes = set.construction_messages;
@@ -1185,6 +1142,7 @@ impl<'a> AsapSystem<'a> {
         self.construction_scope
             .record_for_cluster(cluster.0, MessageKind::ProbeReply, probes / 2);
         self.close_sets
+            .borrow_mut()
             .insert(cluster, deps, Arc::clone(&set), self.now_ms());
         set
     }
@@ -1211,7 +1169,7 @@ impl<'a> AsapSystem<'a> {
             .record_for_node(standby.0, MessageKind::HedgeRequest, 1);
         self.scope
             .record_for_node(standby.0, MessageKind::HedgeReply, 1);
-        if let Some(faults) = *self.message_faults.lock().expect(POISONED) {
+        if let Some(faults) = self.message_faults.get() {
             // The hedge leg rides its own drop key: its fate is
             // independent of the primary's attempts.
             let key = (u64::from(requester.0) << 34)
@@ -1268,16 +1226,14 @@ impl<'a> AsapSystem<'a> {
         // unreachable, or every retry eaten. A cached set of bounded age
         // still beats probing.
         let now = self.now_ms();
-        let cached =
-            self.close_sets
-                .fresh_within(cluster, now, self.config.membership.stale_set_max_age_ms);
+        let cached = self.close_sets.borrow().fresh_within(
+            cluster,
+            now,
+            self.config.membership.stale_set_max_age_ms,
+        );
         match cached {
             Some(set) => {
-                self.stats
-                    .lock()
-                    .expect(POISONED)
-                    .recovery
-                    .stale_sets_served += 1;
+                self.recovery().stale_sets_served += 1;
                 FetchResult {
                     set: Some(set),
                     level: DegradationLevel::StaleCloseSet,
@@ -1317,8 +1273,7 @@ impl<'a> AsapSystem<'a> {
                 return Some(set);
             }
         }
-        let faults = *self.message_faults.lock().expect(POISONED);
-        let Some(faults) = faults else {
+        let Some(faults) = self.message_faults.get() else {
             return Some(self.close_set_of(cluster));
         };
         let retry = self.config.retry;
@@ -1332,13 +1287,15 @@ impl<'a> AsapSystem<'a> {
             *extra += 2; // the wasted request/reply pair
             self.scope.record(MessageKind::CloseSetRequest, 1);
             self.scope.record(MessageKind::CloseSetReply, 1);
-            let mut stats = self.stats.lock().expect(POISONED);
-            stats.recovery.timeouts += 1;
-            stats.recovery.retries += 1;
-            stats.recovery.recovery_messages += 2;
-            stats.recovery.stabilization_ticks += retry.backoff_ms(attempt, key);
-            drop(stats);
-            waited_total += retry.backoff_ms(attempt, key);
+            let backoff = retry.backoff_ms(attempt, key);
+            {
+                let mut recovery = self.recovery();
+                recovery.timeouts += 1;
+                recovery.retries += 1;
+                recovery.recovery_messages += 2;
+                recovery.stabilization_ticks += backoff;
+            }
+            waited_total += backoff;
             // Retry-backoff hedge: the cumulative wait just crossed the
             // hedge delay.
             if capacity.enabled && !hedged && waited_total >= capacity.hedge_delay_ms {
@@ -1359,7 +1316,7 @@ impl<'a> AsapSystem<'a> {
         if asn_a == asn_b {
             return true;
         }
-        let partitioned = self.partitioned.lock().expect(POISONED);
+        let partitioned = self.partitioned.borrow();
         !partitioned.contains(&asn_a) && !partitioned.contains(&asn_b)
     }
 
@@ -1396,7 +1353,7 @@ impl<'a> AsapSystem<'a> {
     /// Records the rung `cluster` was served at; the ladder counts its
     /// own transitions.
     fn observe_ladder(&self, cluster: ClusterId, level: DegradationLevel, now_ms: u64) {
-        self.ladders.lock().expect(POISONED)[cluster.0 as usize].observe(level, now_ms);
+        self.ladders.borrow_mut()[cluster.0 as usize].observe(level, now_ms);
     }
 
     /// Places a call (steps 5–10 of Fig. 8): ping the direct route; if it
@@ -1411,7 +1368,7 @@ impl<'a> AsapSystem<'a> {
         if !self.pair_connected(caller, callee) {
             // The direct ping times out, and no relay can bridge into a
             // partitioned AS either: the call fails outright.
-            self.stats.lock().expect(POISONED).relayed_calls += 1;
+            self.stats.borrow_mut().relayed_calls += 1;
             return CallOutcome {
                 direct_rtt_ms: None,
                 used_direct: false,
@@ -1429,7 +1386,7 @@ impl<'a> AsapSystem<'a> {
 
         if let Some(rtt) = direct_rtt_ms {
             if rtt < self.config.lat_t_ms {
-                self.stats.lock().expect(POISONED).direct_calls += 1;
+                self.stats.borrow_mut().direct_calls += 1;
                 self.call_rtt.record(rtt);
                 return CallOutcome {
                     direct_rtt_ms,
@@ -1453,14 +1410,14 @@ impl<'a> AsapSystem<'a> {
         // A same-AS pair inside a partition can reach no relay outside:
         // serve the direct path, the last rung.
         let isolated = {
-            let partitioned = self.partitioned.lock().expect(POISONED);
+            let partitioned = self.partitioned.borrow();
             partitioned.contains(&self.scenario.population.host(caller).asn.0)
                 || partitioned.contains(&self.scenario.population.host(callee).asn.0)
         };
         if isolated {
-            self.stats.lock().expect(POISONED).recovery.forced_direct += 1;
+            self.recovery().forced_direct += 1;
             self.observe_ladder(caller_cluster, DegradationLevel::DirectOnly, now);
-            self.stats.lock().expect(POISONED).relayed_calls += 1;
+            self.stats.borrow_mut().relayed_calls += 1;
             if let Some(rtt) = direct_rtt_ms {
                 self.call_rtt.record(rtt);
             }
@@ -1514,12 +1471,12 @@ impl<'a> AsapSystem<'a> {
             messages += 2 * attempts;
             self.scope.record(MessageKind::ProbeRequest, attempts);
             self.scope.record(MessageKind::ProbeReply, attempts);
-            self.stats.lock().expect(POISONED).recovery.probe_fallbacks += 1;
+            self.recovery().probe_fallbacks += 1;
             match best {
                 Some(path) => chosen = Some(path),
                 None => {
                     level = DegradationLevel::DirectOnly;
-                    self.stats.lock().expect(POISONED).recovery.forced_direct += 1;
+                    self.recovery().forced_direct += 1;
                     chosen = direct_rtt_ms.map(|rtt| ChosenPath {
                         relays: Vec::new(),
                         rtt_ms: rtt,
@@ -1530,7 +1487,7 @@ impl<'a> AsapSystem<'a> {
         }
 
         self.observe_ladder(caller_cluster, level, now);
-        self.stats.lock().expect(POISONED).relayed_calls += 1;
+        self.stats.borrow_mut().relayed_calls += 1;
         if let Some(path) = &chosen {
             self.call_rtt.record(path.rtt_ms);
         }
@@ -1552,7 +1509,7 @@ impl<'a> AsapSystem<'a> {
     /// otherwise or when the capacity model is disabled.
     pub fn relay_admission(&self, host: HostId) -> SlotVerdict {
         match &self.relay_slots {
-            Some(slots) if slots.lock().expect(POISONED).busy(host.0 as usize) => SlotVerdict::Busy,
+            Some(slots) if slots.borrow().busy(host.0 as usize) => SlotVerdict::Busy,
             _ => SlotVerdict::Granted,
         }
     }
@@ -1571,7 +1528,7 @@ impl<'a> AsapSystem<'a> {
             return Vec::new();
         };
         let over: Vec<HostId> = {
-            let mut slots = slots.lock().expect(POISONED);
+            let mut slots = slots.borrow_mut();
             relays
                 .iter()
                 .copied()
@@ -1586,7 +1543,7 @@ impl<'a> AsapSystem<'a> {
     /// took (call teardown, or failover away from the path).
     pub fn release_relays(&self, relays: &[HostId]) {
         if let Some(slots) = &self.relay_slots {
-            let mut slots = slots.lock().expect(POISONED);
+            let mut slots = slots.borrow_mut();
             for &r in relays {
                 slots.release(r.0 as usize);
             }
@@ -1598,7 +1555,7 @@ impl<'a> AsapSystem<'a> {
     pub fn max_relay_slots_in_use(&self) -> u32 {
         self.relay_slots
             .as_ref()
-            .map_or(0, |s| s.lock().expect(POISONED).max_in_use())
+            .map_or(0, |s| s.borrow().max_in_use())
     }
 
     /// Evaluates the top candidates of a selection against the true
@@ -1738,11 +1695,12 @@ impl<'a> AsapSystem<'a> {
                 });
             }
         }
-        let mut stats = self.stats.lock().expect(POISONED);
-        stats.recovery.failovers += 1;
-        // Re-ping of the replacement path.
-        stats.recovery.recovery_messages += 2;
-        drop(stats);
+        {
+            let mut recovery = self.recovery();
+            recovery.failovers += 1;
+            // Re-ping of the replacement path.
+            recovery.recovery_messages += 2;
+        }
         self.scope.record(MessageKind::CallSetup, 2);
         best
     }

@@ -10,11 +10,20 @@
 //! 3. no cached close set outlives the surrogate epoch of any cluster it
 //!    references (eager purging means the cache can never serve stale
 //!    relay representatives).
+//!
+//! The last test drives every state-changing entry point of the system
+//! in random order and re-checks the cache and admission invariants
+//! after each one. The system keeps its state in `RefCell`s, so a
+//! method that called back into the system while still holding a
+//! mutable borrow would panic there.
 
 use std::sync::OnceLock;
 
 use asap_cluster::ClusterId;
+use asap_core::select::CloseRelaySelection;
 use asap_core::{AsapConfig, AsapSystem};
+use asap_netsim::capacity::CapacityConfig;
+use asap_netsim::faults::MessageDrops;
 use asap_rng::check::{check, vec};
 use asap_workload::{HostId, Scenario, ScenarioConfig};
 
@@ -105,4 +114,130 @@ fn crashed_surrogates_never_serve_again() {
         }
         check_invariants(&system);
     });
+}
+
+/// The tiny world 23 with its best-connected AS congested, so calls
+/// run relay selection and pick relays.
+fn congested_scenario() -> &'static Scenario {
+    static SCENARIO: OnceLock<Scenario> = OnceLock::new();
+    SCENARIO.get_or_init(|| {
+        let mut s = Scenario::build(ScenarioConfig::tiny(), 23);
+        let graph = &s.internet.graph;
+        let hub = *graph
+            .asns()
+            .iter()
+            .max_by_key(|&&a| (graph.degree(a), a))
+            .unwrap();
+        s.apply_as_congestion(hub, 400.0, 0.0);
+        s
+    })
+}
+
+/// A relayed call kept for the failover and relay-slot actions.
+struct Placed {
+    caller: HostId,
+    callee: HostId,
+    selection: CloseRelaySelection,
+    relays: Vec<HostId>,
+}
+
+#[test]
+fn every_entry_point_interleaves_without_a_borrow_conflict() {
+    let s = congested_scenario();
+    let config = AsapConfig {
+        lat_t_ms: 150.0,
+        capacity: CapacityConfig {
+            surrogate_budget: 1,
+            budget_window_ms: 2000,
+            queue_limit: 2,
+            queue_deadline_ms: 500,
+            hedge_delay_ms: 200,
+            relay_slots_base: 1,
+            relay_slots_per_capability: 1.0,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let hosts = s.population.hosts().len() as u32;
+    let clusters = s.population.clustering().cluster_count() as u32;
+    let mut asns: Vec<u32> = s.population.hosts().iter().map(|h| h.asn.0).collect();
+    asns.sort_unstable();
+    asns.dedup();
+    // How often each action did real work, summed over all cases.
+    let (mut selections, mut failovers, mut offered, mut sheds) = (0, 0, 0, 0);
+    check(12, |rng| {
+        let ops = vec(rng, 20..120, |rng| (rng.next_u32(), rng.next_u32() % 14));
+        let system = AsapSystem::bootstrap(s, config);
+        let mut placed: Vec<Placed> = Vec::new();
+        for (x, action) in ops {
+            let host = HostId(x % hosts);
+            let cluster = ClusterId(x % clusters);
+            let asn = asns[x as usize % asns.len()];
+            match action {
+                0..=3 => {
+                    let callee = HostId((x / 7 + 1 + host.0) % hosts);
+                    let out = system.call(host, callee);
+                    if let (Some(selection), Some(chosen)) = (out.selection, out.chosen) {
+                        selections += 1;
+                        let _ = system.acquire_relays(&chosen.relays);
+                        placed.push(Placed {
+                            caller: host,
+                            callee,
+                            selection,
+                            relays: chosen.relays,
+                        });
+                    }
+                }
+                4 => {
+                    system.silent_crash(host);
+                }
+                5 => {
+                    system.crash_host(host);
+                }
+                6 => {
+                    system.fail_surrogate(cluster);
+                }
+                7 => system.partition_as(asn),
+                8 => system.heal_as(asn),
+                9 => {
+                    let faults = (x % 2 == 0).then(|| MessageDrops::new(0.5, u64::from(x)));
+                    system.set_message_faults(faults);
+                }
+                10 => {
+                    let _ = system.membership_tick(system.now_ms() + u64::from(x % 3_000));
+                }
+                11 => system.expire_close_set(cluster),
+                _ if placed.is_empty() => {}
+                12 => {
+                    let i = x as usize % placed.len();
+                    let call = &mut placed[i];
+                    let dead = call.relays.clone();
+                    if let Some(path) =
+                        system.failover_path(call.caller, call.callee, &call.selection, &dead)
+                    {
+                        failovers += 1;
+                        system.release_relays(&call.relays);
+                        let _ = system.acquire_relays(&path.relays);
+                        call.relays = path.relays;
+                    }
+                }
+                _ => {
+                    let call = placed.swap_remove(x as usize % placed.len());
+                    system.release_relays(&call.relays);
+                }
+            }
+            assert!(
+                system.cache_epoch_consistent(),
+                "action {action} left a cached close set on a moved epoch"
+            );
+            let overload = system.stats().overload;
+            assert!(overload.accounted(), "action {action}: {overload:?}");
+        }
+        let overload = system.stats().overload;
+        offered += overload.offered_fetches;
+        sheds += overload.shed_fetches();
+    });
+    assert!(selections > 0, "no call ran relay selection");
+    assert!(failovers > 0, "no failover found a path");
+    assert!(offered > 0 && sheds > 0, "offered {offered}, shed {sheds}");
 }
