@@ -343,11 +343,12 @@ json_row! {
         pub max_relay_slots_in_use: u32,
         /// Heaviest served-request load on a single surrogate.
         pub hot_surrogate_load: u64,
-        /// INVARIANT — calls not accounted for as completed or
-        /// no-path (every offered call must land somewhere). Must be 0.
+        /// INVARIANT — gap between sessions and the calls accounted for
+        /// as completed or no-path, in either direction (every offered
+        /// call must land exactly once). Must be 0.
         pub unaccounted_calls: u64,
-        /// INVARIANT — fetches that left admission control untallied
-        /// (offered − admitted − queued − shed). Must be 0.
+        /// INVARIANT — gap between offered fetches and admitted + queued
+        /// + shed ones, in either direction. Must be 0.
         pub unaccounted_fetches: u64,
         /// INVARIANT — queue-depth observations beyond the configured
         /// bound. Must be 0.
@@ -398,8 +399,8 @@ impl OverloadSoakReport {
             saturation_failovers: report.saturation_failovers,
             max_relay_slots_in_use: report.max_relay_slots_in_use,
             hot_surrogate_load: o.hot_surrogate_load,
-            unaccounted_calls: (sessions as u64).saturating_sub(accounted),
-            unaccounted_fetches: o.offered_fetches.saturating_sub(admission_total),
+            unaccounted_calls: (sessions as u64).abs_diff(accounted),
+            unaccounted_fetches: o.offered_fetches.abs_diff(admission_total),
             queue_depth_violations: o.max_queue_depth.saturating_sub(bound),
             unterminated_calls: report.unterminated_calls,
         }
@@ -526,4 +527,41 @@ pub fn json_lines<T: ToJson>(rows: &[T]) -> String {
         out.push('\n');
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use asap_core::OverloadStats;
+
+    #[test]
+    fn overload_invariants_flag_over_counts_too() {
+        let config = overload_soak_config(true);
+        let clean = SimReport {
+            calls_completed: 7,
+            calls_without_path: 3,
+            overload: OverloadStats {
+                offered_fetches: 9,
+                admitted_fetches: 4,
+                queued_fetches: 2,
+                shed_queue_full: 2,
+                shed_deadline: 1,
+                ..OverloadStats::default()
+            },
+            ..SimReport::default()
+        };
+        assert_eq!(
+            OverloadSoakReport::from_report(1, 10, &config, &clean).violations(),
+            0
+        );
+
+        // One call and one fetch tallied twice.
+        let mut over = clean.clone();
+        over.calls_completed += 1;
+        over.overload.admitted_fetches += 1;
+        let report = OverloadSoakReport::from_report(1, 10, &config, &over);
+        assert_eq!(report.unaccounted_calls, 1);
+        assert_eq!(report.unaccounted_fetches, 1);
+        assert_eq!(report.violations(), 2);
+    }
 }

@@ -15,9 +15,6 @@
 //! cluster delegate, by `ping`); clusters within both thresholds enter the
 //! close cluster set.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
 use asap_cluster::ClusterId;
 use asap_topology::valley::{bounded_search_idx, bounded_search_unconstrained_idx, Expand};
 use asap_workload::{HostId, Scenario};
@@ -158,175 +155,6 @@ impl ClusterIndex {
     /// Panics if `node` is not a node index of the scenario's AS graph.
     pub fn clusters_at(&self, node: u32) -> &[ClusterId] {
         &self.by_node[node as usize]
-    }
-}
-
-/// A cached close cluster set plus the surrogate epochs of every cluster
-/// it references, snapshotted at construction time.
-#[derive(Debug)]
-struct CachedCloseSet {
-    deps: Vec<(ClusterId, u64)>,
-    /// The epoch generation at which `deps` last matched every live
-    /// epoch (`None` until the first lookup verifies them).
-    verified_at: Option<u64>,
-    set: Arc<CloseClusterSet>,
-    /// Virtual time the set was built — bounds the stale-close-set rung.
-    built_at_ms: u64,
-}
-
-/// Outcome of a [`CloseSetCache::lookup`].
-#[derive(Debug)]
-pub enum CacheLookup {
-    /// A current-epoch set was served from the cache.
-    Hit(Arc<CloseClusterSet>),
-    /// An entry existed but referenced a stale epoch; it has been
-    /// removed (defensive — eager purging should prevent this).
-    Stale,
-    /// Nothing cached for the cluster.
-    Miss,
-}
-
-/// The per-cluster memoized close-cluster-set cache.
-///
-/// Entries are keyed by origin cluster and carry the surrogate epoch of
-/// every cluster the set references, snapshotted at build time. Two
-/// invalidation channels keep the memo honest:
-///
-/// * **cold epoch bumps** ([`CloseSetCache::purge_referencing`]) drop
-///   every entry referencing the re-elected cluster;
-/// * **warm handoffs** ([`CloseSetCache::refresh_epoch`]) adopt the new
-///   epoch in place, because the set's *content* is cluster-level and
-///   relays resolve through `surrogate_of` at pick time.
-///
-/// Validating an entry walks its whole dependency list, so each entry
-/// also carries a **generation stamp**: the epoch generation (a counter
-/// the caller advances on every epoch change anywhere) at which the
-/// walk last succeeded. A lookup at the stamped generation is a hit
-/// without the walk, since no epoch has moved since. Any other lookup
-/// walks and re-stamps, so outcomes match an always-walk cache exactly.
-/// Debug builds walk on stamped hits too and assert that both agree.
-///
-/// The cache keeps no counters: callers count the [`CacheLookup`]
-/// outcomes they get.
-#[derive(Debug, Default)]
-pub struct CloseSetCache {
-    entries: HashMap<ClusterId, CachedCloseSet>,
-}
-
-impl CloseSetCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Looks up `cluster`, validating the entry's epoch snapshot through
-    /// `epoch_of` (typically a closure over the caller's replica table).
-    /// `generation` must change whenever any epoch `epoch_of` reports
-    /// changes; an entry already verified at `generation` skips the walk.
-    /// A stale entry is removed on sight. Stale and absent are both
-    /// misses — each forces a rebuild.
-    pub fn lookup(
-        &mut self,
-        cluster: ClusterId,
-        generation: u64,
-        epoch_of: impl Fn(ClusterId) -> u64,
-    ) -> CacheLookup {
-        match self.entries.get_mut(&cluster) {
-            Some(cached) => {
-                let current = |c: &CachedCloseSet| c.deps.iter().all(|&(cl, e)| epoch_of(cl) == e);
-                let fresh = if cached.verified_at == Some(generation) {
-                    debug_assert!(
-                        current(cached),
-                        "close set of {cluster:?} stamped fresh at generation {generation} \
-                         references a moved epoch"
-                    );
-                    true
-                } else {
-                    current(cached)
-                };
-                if fresh {
-                    cached.verified_at = Some(generation);
-                    CacheLookup::Hit(Arc::clone(&cached.set))
-                } else {
-                    self.entries.remove(&cluster);
-                    CacheLookup::Stale
-                }
-            }
-            None => CacheLookup::Miss,
-        }
-    }
-
-    /// Memoizes a freshly built set with its epoch dependency snapshot.
-    pub fn insert(
-        &mut self,
-        cluster: ClusterId,
-        deps: Vec<(ClusterId, u64)>,
-        set: Arc<CloseClusterSet>,
-        built_at_ms: u64,
-    ) {
-        let cached = CachedCloseSet {
-            deps,
-            verified_at: None,
-            set,
-            built_at_ms,
-        };
-        self.entries.insert(cluster, cached);
-    }
-
-    /// Warm-handoff invalidation rule: entries referencing `cluster`
-    /// adopt `epoch` in place (content stays valid). Their generation
-    /// stamps are dropped, so the next lookup of each walks again.
-    pub fn refresh_epoch(&mut self, cluster: ClusterId, epoch: u64) {
-        for entry in self.entries.values_mut() {
-            for dep in entry.deps.iter_mut() {
-                if dep.0 == cluster {
-                    dep.1 = epoch;
-                    entry.verified_at = None;
-                }
-            }
-        }
-    }
-
-    /// Cold-epoch invalidation rule: drops every entry referencing
-    /// `cluster`, returning how many were dropped.
-    pub fn purge_referencing(&mut self, cluster: ClusterId) -> u64 {
-        let before = self.entries.len();
-        self.entries
-            .retain(|_, c| c.deps.iter().all(|&(cl, _)| cl != cluster));
-        (before - self.entries.len()) as u64
-    }
-
-    /// The cached set for `cluster` if it was built within `max_age_ms`
-    /// of `now_ms` — the bounded-staleness rung of the degradation
-    /// ladder (epoch validity is *not* checked here; a stale-but-recent
-    /// set is exactly what the rung serves).
-    pub fn fresh_within(
-        &self,
-        cluster: ClusterId,
-        now_ms: u64,
-        max_age_ms: u64,
-    ) -> Option<Arc<CloseClusterSet>> {
-        self.entries.get(&cluster).and_then(|c| {
-            (now_ms.saturating_sub(c.built_at_ms) <= max_age_ms).then(|| Arc::clone(&c.set))
-        })
-    }
-
-    /// Whether every entry references only current epochs per
-    /// `epoch_of` (validation hook for the robustness tests).
-    pub fn epoch_consistent(&self, epoch_of: impl Fn(ClusterId) -> u64) -> bool {
-        self.entries
-            .values()
-            .all(|c| c.deps.iter().all(|&(cl, e)| epoch_of(cl) == e))
-    }
-
-    /// Number of memoized sets.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -699,208 +527,5 @@ mod tests {
         let set = CloseClusterSet::from_entries([entry(5, 10.0), entry(2, 30.0), entry(5, 40.0)]);
         assert_eq!(set.entries(), &[entry(5, 10.0), entry(2, 30.0)]);
         assert_eq!(set.get(ClusterId(5)), Some(&entry(5, 10.0)));
-    }
-
-    fn sample_set() -> Arc<CloseClusterSet> {
-        Arc::new(CloseClusterSet::from_entries([CloseClusterEntry {
-            cluster: ClusterId(2),
-            surrogate: HostId(20),
-            rtt_ms: 30.0,
-            loss: 0.001,
-            as_hops: 1,
-        }]))
-    }
-
-    #[test]
-    fn cache_hits_after_insert() {
-        let mut cache = CloseSetCache::new();
-        let origin = ClusterId(1);
-        assert!(matches!(cache.lookup(origin, 0, |_| 0), CacheLookup::Miss));
-        cache.insert(
-            origin,
-            vec![(origin, 0), (ClusterId(2), 0)],
-            sample_set(),
-            5,
-        );
-        match cache.lookup(origin, 0, |_| 0) {
-            CacheLookup::Hit(set) => assert!(set.contains(ClusterId(2))),
-            other => panic!("expected hit, got {other:?}"),
-        }
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn stale_epoch_evicts_on_lookup() {
-        let mut cache = CloseSetCache::new();
-        let origin = ClusterId(1);
-        cache.insert(
-            origin,
-            vec![(origin, 0), (ClusterId(2), 3)],
-            sample_set(),
-            0,
-        );
-        // Cluster 2 cold-advanced to epoch 4: the entry is stale.
-        let epoch_of = |c: ClusterId| if c == ClusterId(2) { 4 } else { 0 };
-        assert!(matches!(
-            cache.lookup(origin, 1, epoch_of),
-            CacheLookup::Stale
-        ));
-        assert!(cache.is_empty(), "stale entry must be evicted");
-        assert!(matches!(
-            cache.lookup(origin, 1, epoch_of),
-            CacheLookup::Miss
-        ));
-    }
-
-    #[test]
-    fn warm_refresh_keeps_entry_cold_purge_drops_it() {
-        let mut cache = CloseSetCache::new();
-        let origin = ClusterId(1);
-        cache.insert(
-            origin,
-            vec![(origin, 0), (ClusterId(2), 0)],
-            sample_set(),
-            0,
-        );
-
-        // Warm handoff on cluster 2: epoch adopted in place, still a hit.
-        cache.refresh_epoch(ClusterId(2), 1);
-        let epoch_of = |c: ClusterId| if c == ClusterId(2) { 1 } else { 0 };
-        assert!(cache.epoch_consistent(epoch_of));
-        assert!(matches!(
-            cache.lookup(origin, 1, epoch_of),
-            CacheLookup::Hit(_)
-        ));
-
-        // Cold re-election on cluster 2: the entry referencing it dies.
-        assert_eq!(cache.purge_referencing(ClusterId(2)), 1);
-        assert!(cache.is_empty());
-        assert_eq!(cache.purge_referencing(ClusterId(2)), 0);
-    }
-
-    #[test]
-    fn fresh_within_bounds_staleness_by_age() {
-        let mut cache = CloseSetCache::new();
-        let origin = ClusterId(1);
-        cache.insert(origin, vec![(origin, 0)], sample_set(), 100);
-        assert!(cache.fresh_within(origin, 150, 60).is_some());
-        assert!(cache.fresh_within(origin, 200, 60).is_none());
-        // Age checks ignore epochs: that is the stale rung's contract.
-        assert!(cache.fresh_within(origin, 100, 0).is_some());
-    }
-
-    /// The cache's lookup rules without generation stamps: every lookup
-    /// walks the dependency list.
-    #[derive(Default)]
-    struct WalkingCache(HashMap<ClusterId, Vec<(ClusterId, u64)>>);
-
-    #[derive(Debug, PartialEq, Eq)]
-    enum Outcome {
-        Hit,
-        Stale,
-        Miss,
-    }
-
-    impl WalkingCache {
-        fn lookup(&mut self, cluster: ClusterId, epoch_of: impl Fn(ClusterId) -> u64) -> Outcome {
-            match self.0.get(&cluster) {
-                Some(deps) if deps.iter().all(|&(cl, e)| epoch_of(cl) == e) => Outcome::Hit,
-                Some(_) => {
-                    self.0.remove(&cluster);
-                    Outcome::Stale
-                }
-                None => Outcome::Miss,
-            }
-        }
-
-        fn refresh_epoch(&mut self, cluster: ClusterId, epoch: u64) {
-            for deps in self.0.values_mut() {
-                for dep in deps.iter_mut().filter(|d| d.0 == cluster) {
-                    dep.1 = epoch;
-                }
-            }
-        }
-
-        fn purge_referencing(&mut self, cluster: ClusterId) {
-            self.0
-                .retain(|_, deps| deps.iter().all(|&(cl, _)| cl != cluster));
-        }
-    }
-
-    /// Looks every origin up twice in the stamped cache and in the
-    /// reference, recording both outcomes and rebuilding (with a fresh
-    /// epoch snapshot of the origin and its two successors) after a
-    /// miss, then checks the cache is epoch-consistent.
-    fn lookup_all(
-        table: &crate::replica::ReplicaTable,
-        cache: &mut CloseSetCache,
-        reference: &mut WalkingCache,
-        outcomes: &mut Vec<(Outcome, Outcome)>,
-    ) {
-        let clusters = table.len() as u32;
-        let epoch_of = |c: ClusterId| table[c].epoch;
-        for _ in 0..2 {
-            for origin in (0..clusters).map(ClusterId) {
-                let stamped = match cache.lookup(origin, table.generation(), epoch_of) {
-                    CacheLookup::Hit(_) => Outcome::Hit,
-                    CacheLookup::Stale => Outcome::Stale,
-                    CacheLookup::Miss => Outcome::Miss,
-                };
-                let walked = reference.lookup(origin, epoch_of);
-                if walked != Outcome::Hit {
-                    let deps: Vec<(ClusterId, u64)> = (0..3)
-                        .map(|i| ClusterId((origin.0 + i) % clusters))
-                        .map(|c| (c, epoch_of(c)))
-                        .collect();
-                    cache.insert(origin, deps.clone(), sample_set(), 0);
-                    reference.0.insert(origin, deps);
-                }
-                outcomes.push((stamped, walked));
-            }
-        }
-        assert!(cache.epoch_consistent(epoch_of));
-    }
-
-    #[test]
-    fn stamped_lookups_match_an_always_walk_cache() {
-        use crate::replica::{ReplicaSet, ReplicaTable};
-
-        let replica_set = |c: u32| ReplicaSet {
-            active: vec![HostId(10 * c)],
-            standbys: vec![HostId(10 * c + 1), HostId(10 * c + 2)],
-            epoch: 0,
-        };
-        let mut table = ReplicaTable::new((0..4).map(replica_set).collect());
-        let mut cache = CloseSetCache::new();
-        let mut reference = WalkingCache::default();
-        let mut outcomes = Vec::new();
-
-        // Insert.
-        lookup_all(&table, &mut cache, &mut reference, &mut outcomes);
-        // Warm handoff on cluster 1: the epoch is adopted in place.
-        let epoch = table.promote(ClusterId(1), 0, HostId(11));
-        cache.refresh_epoch(ClusterId(1), epoch);
-        reference.refresh_epoch(ClusterId(1), epoch);
-        lookup_all(&table, &mut cache, &mut reference, &mut outcomes);
-        // Cold re-election on cluster 2: dependent entries are purged.
-        table.replace(ClusterId(2), replica_set(2));
-        cache.purge_referencing(ClusterId(2));
-        reference.purge_referencing(ClusterId(2));
-        lookup_all(&table, &mut cache, &mut reference, &mut outcomes);
-        // `expire_close_set` on cluster 3: epoch bump plus purge.
-        table.expire(ClusterId(3));
-        cache.purge_referencing(ClusterId(3));
-        reference.purge_referencing(ClusterId(3));
-        lookup_all(&table, &mut cache, &mut reference, &mut outcomes);
-        // An epoch bump neither channel reports: lookups find it stale.
-        table.expire(ClusterId(0));
-        lookup_all(&table, &mut cache, &mut reference, &mut outcomes);
-
-        for (i, (stamped, walked)) in outcomes.iter().enumerate() {
-            assert_eq!(stamped, walked, "lookup {i}");
-        }
-        for outcome in [Outcome::Hit, Outcome::Stale, Outcome::Miss] {
-            assert!(outcomes.iter().any(|o| o.1 == outcome), "no {outcome:?}");
-        }
     }
 }

@@ -1,16 +1,32 @@
-//! Per-cluster surrogate replica sets and the table that owns them.
+//! Per-cluster surrogate replica sets, and the close-set cache whose
+//! validity depends on them.
 //!
 //! [`ReplicaTable`] is the one place a cluster's epoch or active set can
-//! change. Every such change advances a table-wide *generation*, and the
-//! table keeps each cluster's primary surrogate in a slice. The
-//! close-set cache leans on both: an entry verified at the current
-//! generation is still epoch-fresh without walking its dependencies, and
-//! a close-set build reads primaries without collecting them first.
+//! change, so it also owns the memoized close cluster sets and purges
+//! them in the same call that makes them stale. A close set is a list of
+//! clusters measured from one surrogate, so two rules keep every cached
+//! set current:
+//!
+//! * a **cold** change of a cluster ([`ReplicaTable::replace`],
+//!   [`ReplicaTable::expire`]) drops the cluster's own set and every set
+//!   that lists it, because their measurements came from hosts that no
+//!   longer hold the role;
+//! * a **warm** handoff ([`ReplicaTable::promote`]) drops nothing: the
+//!   content is cluster-level, and relays resolve through the current
+//!   primary at pick time.
+//!
+//! Lookups therefore never validate an entry. The table also keeps each
+//! cluster's primary surrogate in a slice, so a close-set build reads
+//! primaries without collecting them first.
 
+use std::collections::HashMap;
 use std::ops::Index;
+use std::sync::Arc;
 
 use asap_cluster::ClusterId;
 use asap_workload::HostId;
+
+use crate::close_set::CloseClusterSet;
 
 /// A cluster's bootstrap replica set: the active surrogates serving
 /// requests plus warm standbys ready for an epoch-numbered handoff.
@@ -51,24 +67,33 @@ impl ReplicaSet {
     }
 }
 
-/// Every cluster's replica set, indexed by `ClusterId.0`.
+/// A memoized close cluster set.
+#[derive(Debug)]
+struct CachedCloseSet {
+    set: Arc<CloseClusterSet>,
+    /// Virtual time the set was built — bounds the stale-close-set rung.
+    built_at_ms: u64,
+}
+
+/// Every cluster's replica set, indexed by `ClusterId.0`, and the
+/// per-cluster close-set cache.
 ///
 /// Epochs and active sets change only through [`ReplicaTable::promote`],
-/// [`ReplicaTable::replace`] and [`ReplicaTable::expire`], and each of
-/// them advances [`ReplicaTable::generation`]. So two reads of the
-/// generation that agree prove that no epoch changed in between.
-/// Standby lists carry no epoch and are edited freely through
+/// [`ReplicaTable::replace`] and [`ReplicaTable::expire`], and the last
+/// two purge the cache as they go (see the module docs). Standby lists
+/// carry no epoch and are edited freely through
 /// [`ReplicaTable::standbys_mut`].
 #[derive(Debug, Default)]
 pub(crate) struct ReplicaTable {
     sets: Vec<ReplicaSet>,
     /// `sets[c].primary()` for every cluster `c`.
     primaries: Vec<HostId>,
-    generation: u64,
+    close_sets: HashMap<ClusterId, CachedCloseSet>,
 }
 
 impl ReplicaTable {
-    /// A table over freshly elected sets, one per cluster in id order.
+    /// A table over freshly elected sets, one per cluster in id order,
+    /// with an empty close-set cache.
     ///
     /// # Panics
     ///
@@ -85,7 +110,7 @@ impl ReplicaTable {
         ReplicaTable {
             sets,
             primaries,
-            generation: 0,
+            close_sets: HashMap::new(),
         }
     }
 
@@ -99,49 +124,79 @@ impl ReplicaTable {
         &self.primaries
     }
 
-    /// Advances on every epoch change of any cluster.
-    pub(crate) fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// `cluster`'s standby list (standbys carry no epoch).
     pub(crate) fn standbys_mut(&mut self, cluster: ClusterId) -> &mut Vec<HostId> {
         &mut self.sets[cluster.0 as usize].standbys
     }
 
     /// Warm handoff: `standby` takes active slot `slot` and leaves the
-    /// standby list. Returns the new epoch.
-    pub(crate) fn promote(&mut self, cluster: ClusterId, slot: usize, standby: HostId) -> u64 {
+    /// standby list. The epoch advances; cached close sets stay.
+    pub(crate) fn promote(&mut self, cluster: ClusterId, slot: usize, standby: HostId) {
         let rs = &mut self.sets[cluster.0 as usize];
         rs.active[slot] = standby;
         rs.standbys.retain(|&h| h != standby);
-        self.advance(cluster)
+        self.advance(cluster);
     }
 
     /// Cold re-election: `fresh` replaces the set and continues its
     /// epoch sequence (whatever epoch `fresh` carries is overwritten).
+    /// Returns the number of cached close sets purged.
     ///
     /// # Panics
     ///
     /// Panics if `fresh` has no active surrogate.
-    pub(crate) fn replace(&mut self, cluster: ClusterId, fresh: ReplicaSet) {
+    pub(crate) fn replace(&mut self, cluster: ClusterId, fresh: ReplicaSet) -> u64 {
         assert_active(cluster, &fresh);
         let epoch = self.sets[cluster.0 as usize].epoch;
         self.sets[cluster.0 as usize] = ReplicaSet { epoch, ..fresh };
-        self.advance(cluster);
+        self.expire(cluster)
     }
 
-    /// Advances `cluster`'s epoch with its members unchanged.
-    pub(crate) fn expire(&mut self, cluster: ClusterId) {
+    /// Advances `cluster`'s epoch with its members unchanged, as a cold
+    /// change. Returns the number of cached close sets purged.
+    pub(crate) fn expire(&mut self, cluster: ClusterId) -> u64 {
         self.advance(cluster);
+        let before = self.close_sets.len();
+        self.close_sets
+            .retain(|&origin, c| origin != cluster && !c.set.contains(cluster));
+        (before - self.close_sets.len()) as u64
     }
 
-    fn advance(&mut self, cluster: ClusterId) -> u64 {
+    fn advance(&mut self, cluster: ClusterId) {
         let c = cluster.0 as usize;
         self.sets[c].epoch += 1;
         self.primaries[c] = self.sets[c].primary();
-        self.generation += 1;
-        self.sets[c].epoch
+    }
+
+    /// The cached close set of `cluster`, if any.
+    pub(crate) fn close_set(&self, cluster: ClusterId) -> Option<Arc<CloseClusterSet>> {
+        self.close_sets.get(&cluster).map(|c| Arc::clone(&c.set))
+    }
+
+    /// The cached close set of `cluster` if it was built within
+    /// `max_age_ms` of `now_ms` — the bounded-staleness rung of the
+    /// degradation ladder.
+    pub(crate) fn close_set_within(
+        &self,
+        cluster: ClusterId,
+        now_ms: u64,
+        max_age_ms: u64,
+    ) -> Option<Arc<CloseClusterSet>> {
+        self.close_sets.get(&cluster).and_then(|c| {
+            (now_ms.saturating_sub(c.built_at_ms) <= max_age_ms).then(|| Arc::clone(&c.set))
+        })
+    }
+
+    /// Memoizes `cluster`'s close set, built from the current primaries
+    /// at `built_at_ms`.
+    pub(crate) fn cache_close_set(
+        &mut self,
+        cluster: ClusterId,
+        set: Arc<CloseClusterSet>,
+        built_at_ms: u64,
+    ) {
+        self.close_sets
+            .insert(cluster, CachedCloseSet { set, built_at_ms });
     }
 }
 
@@ -164,6 +219,8 @@ impl Index<ClusterId> for ReplicaTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::close_set::CloseClusterEntry;
+    use asap_rng::check::check;
 
     fn set(active: &[u32], standbys: &[u32]) -> ReplicaSet {
         ReplicaSet {
@@ -174,15 +231,13 @@ mod tests {
     }
 
     #[test]
-    fn every_epoch_change_advances_the_generation_and_primaries_follow() {
+    fn every_epoch_change_advances_the_epoch_and_primaries_follow() {
         let mut table = ReplicaTable::new(vec![set(&[1], &[2, 3]), set(&[10, 11], &[12])]);
         let (a, b) = (ClusterId(0), ClusterId(1));
         assert_eq!(table.primaries(), &[HostId(1), HostId(10)]);
-        assert_eq!(table.generation(), 0);
 
-        assert_eq!(table.promote(a, 0, HostId(3)), 1);
+        table.promote(a, 0, HostId(3));
         assert_eq!(table[a], set(&[3], &[2]).with_epoch(1));
-        assert_eq!(table.generation(), 1);
 
         // A non-primary slot keeps the primary.
         table.promote(b, 1, HostId(12));
@@ -194,11 +249,10 @@ mod tests {
 
         table.expire(a);
         assert_eq!(table[a].epoch, 2);
-        assert_eq!(table.generation(), 4);
 
-        // Standby edits move neither epochs nor the generation.
+        // Standby edits move no epoch.
         table.standbys_mut(a).push(HostId(4));
-        assert_eq!(table.generation(), 4);
+        assert_eq!(table[a].epoch, 2);
         assert_eq!(table[a].standbys, vec![HostId(2), HostId(4)]);
     }
 
@@ -219,5 +273,179 @@ mod tests {
         fn with_epoch(self, epoch: u64) -> Self {
             ReplicaSet { epoch, ..self }
         }
+    }
+
+    /// Cluster `c`'s replica set: primary `10c`, standbys `10c+1, 10c+2`.
+    fn replica_set(c: u32) -> ReplicaSet {
+        set(&[10 * c], &[10 * c + 1, 10 * c + 2])
+    }
+
+    fn entry(cluster: u32) -> CloseClusterEntry {
+        CloseClusterEntry {
+            cluster: ClusterId(cluster),
+            surrogate: HostId(10 * cluster),
+            rtt_ms: 30.0,
+            loss: 0.001,
+            as_hops: 1,
+        }
+    }
+
+    /// A set holding cluster 2 only.
+    fn sample_set() -> Arc<CloseClusterSet> {
+        Arc::new(CloseClusterSet::from_entries([entry(2)]))
+    }
+
+    #[test]
+    fn cache_hits_after_insert() {
+        let mut table = ReplicaTable::new((0..3).map(replica_set).collect());
+        let origin = ClusterId(1);
+        assert!(table.close_set(origin).is_none());
+        table.cache_close_set(origin, sample_set(), 5);
+        let set = table.close_set(origin).expect("a hit after insert");
+        assert!(set.contains(ClusterId(2)));
+    }
+
+    #[test]
+    fn warm_promote_keeps_entry_cold_changes_purge_it() {
+        let mut table = ReplicaTable::new((0..3).map(replica_set).collect());
+        let origin = ClusterId(1);
+        table.cache_close_set(origin, sample_set(), 0);
+
+        // Warm handoff on cluster 2: the set still serves.
+        table.promote(ClusterId(2), 0, HostId(21));
+        assert!(table.close_set(origin).is_some());
+
+        // Cold re-election on cluster 2: the set listing it dies.
+        assert_eq!(table.replace(ClusterId(2), replica_set(2)), 1);
+        assert!(table.close_set(origin).is_none());
+        assert_eq!(table.replace(ClusterId(2), replica_set(2)), 0);
+
+        // A cold change of the origin drops its own set.
+        table.cache_close_set(origin, sample_set(), 0);
+        assert_eq!(table.expire(origin), 1);
+        assert!(table.close_set(origin).is_none());
+    }
+
+    #[test]
+    fn close_set_within_bounds_staleness_by_age() {
+        let mut table = ReplicaTable::new((0..3).map(replica_set).collect());
+        let origin = ClusterId(1);
+        table.cache_close_set(origin, sample_set(), 100);
+        assert!(table.close_set_within(origin, 150, 60).is_some());
+        assert!(table.close_set_within(origin, 200, 60).is_none());
+        assert!(table.close_set_within(origin, 100, 0).is_some());
+    }
+
+    /// The cache as it was before invalidation-only: each entry snapshots
+    /// the epoch of its origin and of every cluster its set lists, warm
+    /// handoffs adopt the new epoch in place, cold changes purge, and
+    /// every lookup walks the snapshot against the live epochs.
+    #[derive(Default)]
+    struct WalkingCache(HashMap<ClusterId, Vec<(ClusterId, u64)>>);
+
+    #[derive(Debug, PartialEq, Eq)]
+    enum Outcome {
+        Hit,
+        Stale,
+        Miss,
+    }
+
+    impl WalkingCache {
+        fn lookup(&mut self, cluster: ClusterId, epoch_of: impl Fn(ClusterId) -> u64) -> Outcome {
+            match self.0.get(&cluster) {
+                Some(deps) if deps.iter().all(|&(cl, e)| epoch_of(cl) == e) => Outcome::Hit,
+                Some(_) => {
+                    self.0.remove(&cluster);
+                    Outcome::Stale
+                }
+                None => Outcome::Miss,
+            }
+        }
+
+        fn insert(
+            &mut self,
+            cluster: ClusterId,
+            set: &CloseClusterSet,
+            epoch_of: impl Fn(ClusterId) -> u64,
+        ) {
+            let deps = std::iter::once(cluster)
+                .chain(set.entries().iter().map(|e| e.cluster))
+                .map(|c| (c, epoch_of(c)))
+                .collect();
+            self.0.insert(cluster, deps);
+        }
+
+        fn adopt_epoch(&mut self, cluster: ClusterId, epoch: u64) {
+            for deps in self.0.values_mut() {
+                for dep in deps.iter_mut().filter(|d| d.0 == cluster) {
+                    dep.1 = epoch;
+                }
+            }
+        }
+
+        fn purge_referencing(&mut self, cluster: ClusterId) -> u64 {
+            let before = self.0.len();
+            self.0
+                .retain(|_, deps| deps.iter().all(|&(cl, _)| cl != cluster));
+            (before - self.0.len()) as u64
+        }
+    }
+
+    #[test]
+    fn invalidation_matches_an_always_walk_cache() {
+        const CLUSTERS: u32 = 6;
+        let (mut hits, mut misses, mut purged) = (0, 0, 0);
+        check(64, |rng| {
+            let mut table = ReplicaTable::new((0..CLUSTERS).map(replica_set).collect());
+            let mut reference = WalkingCache::default();
+            for step in 0..200 {
+                let cluster = ClusterId(rng.gen_range(0..CLUSTERS));
+                match rng.gen_range(0..4) {
+                    0 => {
+                        let walked = reference.lookup(cluster, |c| table[c].epoch);
+                        let got = match table.close_set(cluster) {
+                            Some(_) => Outcome::Hit,
+                            None => Outcome::Miss,
+                        };
+                        assert_eq!(got, walked, "step {step}");
+                        if got == Outcome::Hit {
+                            hits += 1;
+                            continue;
+                        }
+                        misses += 1;
+                        // Up to four entries drawn with replacement: some
+                        // sets list a cluster twice, and most stop below a
+                        // cluster a later purge asks about, past the end
+                        // of their position index.
+                        let mut set = CloseClusterSet::default();
+                        for _ in 0..rng.gen_range(0..5) {
+                            set.push_for_tests(entry(rng.gen_range(0..CLUSTERS)));
+                        }
+                        reference.insert(cluster, &set, |c| table[c].epoch);
+                        table.cache_close_set(cluster, Arc::new(set), 0);
+                    }
+                    1 => {
+                        let (old, standby) = (table[cluster].primary(), table[cluster].standbys[0]);
+                        table.promote(cluster, 0, standby);
+                        table.standbys_mut(cluster).push(old);
+                        reference.adopt_epoch(cluster, table[cluster].epoch);
+                    }
+                    2 => {
+                        let dropped = table.replace(cluster, replica_set(cluster.0));
+                        assert_eq!(dropped, reference.purge_referencing(cluster), "step {step}");
+                        purged += dropped;
+                    }
+                    _ => {
+                        let dropped = table.expire(cluster);
+                        assert_eq!(dropped, reference.purge_referencing(cluster), "step {step}");
+                        purged += dropped;
+                    }
+                }
+            }
+        });
+        assert!(
+            hits > 0 && misses > 0 && purged > 0,
+            "{hits} {misses} {purged}"
+        );
     }
 }

@@ -19,10 +19,10 @@
 //! Losing an active surrogate triggers an **epoch-numbered handoff**: if a
 //! quorum of the replica set (active + standbys) is still usable, the best
 //! standby is promoted in place — the cluster's epoch advances but cached
-//! close sets referencing it are *refreshed*, not purged, because the
-//! close-set content is cluster-level and relays are resolved through
-//! `surrogate_of` at pick time. Without quorum the cluster falls back to a
-//! cold re-election with the PR1 purge semantics.
+//! close sets referencing it are kept, because the close-set content is
+//! cluster-level and relays are resolved through `surrogate_of` at pick
+//! time. Without quorum the cluster falls back to a cold re-election,
+//! which purges every cached close set referencing it.
 
 use std::cell::{Cell, RefCell, RefMut};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -35,9 +35,7 @@ use asap_netsim::membership::{MembershipView, Verdict};
 use asap_telemetry::{Counter, Gauge, HistogramHandle, LedgerScope, MessageKind, Telemetry};
 use asap_workload::{HostId, Scenario};
 
-use crate::close_set::{
-    construct_close_cluster_set, CacheLookup, CloseClusterSet, CloseSetCache, ClusterIndex,
-};
+use crate::close_set::{construct_close_cluster_set, CloseClusterSet, ClusterIndex};
 use crate::config::AsapConfig;
 use crate::ladder::{DegradationLadder, DegradationLevel};
 use crate::replica::{ReplicaSet, ReplicaTable};
@@ -208,8 +206,8 @@ pub struct SystemStats {
     pub close_sets_built: u64,
     /// Close-set requests answered from the per-cluster memo.
     pub close_set_cache_hits: u64,
-    /// Close-set requests that had to (re)build the set (absent or
-    /// epoch-stale cache entries).
+    /// Close-set requests that had to (re)build the set: never built, or
+    /// purged by a cold epoch change.
     pub close_set_cache_misses: u64,
     /// Surrogate elections performed (bootstrap + cold re-elections).
     pub elections: u64,
@@ -300,16 +298,13 @@ pub struct AsapSystem<'a> {
     config: AsapConfig,
     index: ClusterIndex,
     /// Per-cluster replica sets, epochs and primaries (indexed by
-    /// `ClusterId.0`).
+    /// `ClusterId.0`), and the memoized close sets they keep current.
     replicas: RefCell<ReplicaTable>,
     /// Close-set requests served, per (cluster, surrogate) — used to
     /// verify load sharing.
     surrogate_load: RefCell<HashMap<(ClusterId, HostId), u64>>,
     /// Hosts marked offline (failed surrogates stay out of elections).
     offline: RefCell<Vec<bool>>,
-    /// Memoized per-cluster close sets with epoch-snapshot invalidation
-    /// (see [`CloseSetCache`] for the invalidation rules).
-    close_sets: RefCell<CloseSetCache>,
     /// Injected control-message drop decider (None = healthy network).
     message_faults: Cell<Option<MessageDrops>>,
     /// Phi-accrual liveness over every current and former replica member.
@@ -464,7 +459,6 @@ impl<'a> AsapSystem<'a> {
             replicas: RefCell::default(),
             surrogate_load: RefCell::default(),
             offline: RefCell::new(offline),
-            close_sets: RefCell::default(),
             message_faults: Cell::new(None),
             membership: RefCell::new(MembershipView::new(config.membership.suspicion)),
             ladders: RefCell::new(vec![DegradationLadder::default(); cluster_count]),
@@ -888,8 +882,8 @@ impl<'a> AsapSystem<'a> {
     /// Replaces the lost active surrogate `lost` of `cluster`. With a
     /// usable quorum of the replica set (survivors × 2 ≥ set size) and a
     /// usable standby, the standby is promoted warm: the epoch advances
-    /// but cached close sets are refreshed in place. Otherwise the
-    /// cluster cold-re-elects and dependent cache entries are purged.
+    /// and cached close sets stay. Otherwise the cluster cold-re-elects
+    /// and dependent cache entries are purged.
     fn handle_surrogate_loss(&self, cluster: ClusterId, lost: HostId) {
         let (set_size, slot, usable, promoted) = {
             let rs = &self.replicas.borrow()[cluster];
@@ -907,8 +901,7 @@ impl<'a> AsapSystem<'a> {
         };
         let quorum = usable * 2 >= set_size;
         if let (true, Some(promoted)) = (quorum, promoted) {
-            let epoch = self.replicas.borrow_mut().promote(cluster, slot, promoted);
-            self.refresh_epoch(cluster, epoch);
+            self.replicas.borrow_mut().promote(cluster, slot, promoted);
             self.backfill_standbys(cluster);
             let mut recovery = self.recovery();
             recovery.warm_handoffs += 1;
@@ -920,8 +913,8 @@ impl<'a> AsapSystem<'a> {
         } else {
             let fresh = self.elect_split(cluster, &[lost]);
             let new_members = fresh.members();
-            self.replicas.borrow_mut().replace(cluster, fresh);
-            self.purge_referencing(cluster);
+            let dropped = self.replicas.borrow_mut().replace(cluster, fresh);
+            self.recovery().cache_invalidations += dropped;
             {
                 let mut view = self.membership.borrow_mut();
                 for h in new_members {
@@ -1048,36 +1041,8 @@ impl<'a> AsapSystem<'a> {
     /// rotated without a handoff — so every cached close set referencing
     /// it rebuilds on next use (the `StaleCloseSet` fault).
     pub fn expire_close_set(&self, cluster: ClusterId) {
-        self.replicas.borrow_mut().expire(cluster);
-        self.purge_referencing(cluster);
-    }
-
-    /// Warm handoff bookkeeping: cached close sets referencing `cluster`
-    /// adopt the new epoch in place. The content stays valid because
-    /// close sets are cluster-level and relays resolve through
-    /// `surrogate_of` at pick time.
-    fn refresh_epoch(&self, cluster: ClusterId, epoch: u64) {
-        self.close_sets.borrow_mut().refresh_epoch(cluster, epoch);
-    }
-
-    /// Eagerly purges every cached close set that references `cluster`,
-    /// so no stale entry can ever be served after a cold epoch change.
-    fn purge_referencing(&self, cluster: ClusterId) {
-        let dropped = self.close_sets.borrow_mut().purge_referencing(cluster);
-        if dropped > 0 {
-            self.recovery().cache_invalidations += dropped;
-        }
-    }
-
-    /// Whether every cached close set references only current-epoch
-    /// surrogate sets (validation hook for the robustness tests: with
-    /// eager purging and in-place warm refreshes this must hold at every
-    /// moment).
-    pub fn cache_epoch_consistent(&self) -> bool {
-        let replicas = self.replicas.borrow();
-        self.close_sets
-            .borrow()
-            .epoch_consistent(|cl| replicas[cl].epoch)
+        let dropped = self.replicas.borrow_mut().expire(cluster);
+        self.recovery().cache_invalidations += dropped;
     }
 
     /// The join flow (steps 1–4 of Fig. 8): the host learns its ASN and
@@ -1097,40 +1062,25 @@ impl<'a> AsapSystem<'a> {
     }
 
     /// The close cluster set of `cluster`, constructing and caching it if
-    /// the surrogate has not built one yet (or if the cached copy went
-    /// stale because a referenced cluster cold-re-elected).
+    /// the surrogate has not built one yet (or if a cold epoch change of
+    /// a cluster it references purged the cached copy).
     pub fn close_set_of(&self, cluster: ClusterId) -> Arc<CloseClusterSet> {
-        let replicas = self.replicas.borrow();
-        let lookup = self
-            .close_sets
-            .borrow_mut()
-            .lookup(cluster, replicas.generation(), |cl| replicas[cl].epoch);
-        match lookup {
-            CacheLookup::Hit(set) => {
-                self.meters.cache_hits.inc();
-                return set;
-            }
-            CacheLookup::Stale => {
-                // Defensive: eager purging should have removed it.
-                self.meters.cache_misses.inc();
-                self.recovery().cache_invalidations += 1;
-            }
-            CacheLookup::Miss => self.meters.cache_misses.inc(),
+        if let Some(set) = self.replicas.borrow().close_set(cluster) {
+            self.meters.cache_hits.inc();
+            return set;
         }
-        let primaries = replicas.primaries();
-        let set = Arc::new(construct_close_cluster_set(
-            self.scenario,
-            &self.index,
-            &|c: ClusterId| primaries[c.0 as usize],
-            cluster,
-            &self.config,
-        ));
-        // Snapshot the epochs of every referenced cluster; the entry dies
-        // with the first of them to cold-advance.
-        let mut deps = vec![(cluster, replicas[cluster].epoch)];
-        for entry in set.entries() {
-            deps.push((entry.cluster, replicas[entry.cluster].epoch));
-        }
+        self.meters.cache_misses.inc();
+        let set = {
+            let replicas = self.replicas.borrow();
+            let primaries = replicas.primaries();
+            Arc::new(construct_close_cluster_set(
+                self.scenario,
+                &self.index,
+                &|c: ClusterId| primaries[c.0 as usize],
+                cluster,
+                &self.config,
+            ))
+        };
         // Construction cost is probe round trips, attributed to the
         // cluster whose surrogate did the measuring.
         let probes = set.construction_messages;
@@ -1141,9 +1091,9 @@ impl<'a> AsapSystem<'a> {
         );
         self.construction_scope
             .record_for_cluster(cluster.0, MessageKind::ProbeReply, probes / 2);
-        self.close_sets
+        self.replicas
             .borrow_mut()
-            .insert(cluster, deps, Arc::clone(&set), self.now_ms());
+            .cache_close_set(cluster, Arc::clone(&set), self.now_ms());
         set
     }
 
@@ -1226,7 +1176,7 @@ impl<'a> AsapSystem<'a> {
         // unreachable, or every retry eaten. A cached set of bounded age
         // still beats probing.
         let now = self.now_ms();
-        let cached = self.close_sets.borrow().fresh_within(
+        let cached = self.replicas.borrow().close_set_within(
             cluster,
             now,
             self.config.membership.stale_set_max_age_ms,
@@ -1870,9 +1820,8 @@ mod tests {
         assert_ne!(old, new, "handoff must pick a different host");
         assert_eq!(new, standby, "the best warm standby is promoted");
         assert_eq!(system.surrogate_epoch(cluster), epoch_before + 1);
-        assert!(system.cache_epoch_consistent());
-        // Warm handoff refreshes dependent cache entries in place: no
-        // rebuild on the next request.
+        // Warm handoff keeps dependent cache entries: no rebuild on the
+        // next request.
         let _ = system.close_set_of(cluster);
         assert_eq!(system.stats().close_sets_built, built_before);
         let rec = system.stats().recovery;
@@ -1904,10 +1853,8 @@ mod tests {
         let rec = system.stats().recovery;
         assert!(rec.re_elections >= 1, "quorum never failed: {rec:?}");
         assert!(rec.quorum_failures >= 1);
-        // Cold election purged dependent entries and the cache stayed
-        // epoch-consistent throughout.
+        // Cold election purged dependent entries.
         assert!(rec.cache_invalidations >= 1);
-        assert!(system.cache_epoch_consistent());
         assert!(!system.surrogates_of(cluster).is_empty());
     }
 
@@ -2225,15 +2172,13 @@ mod tests {
         let system = AsapSystem::bootstrap(&s, AsapConfig::default());
         let c = s.population.clustering().clusters()[0].id();
         let set = system.close_set_of(c);
-        assert!(system.cache_epoch_consistent());
         // Expire some cluster the set references (or the home cluster).
         let target = set.entries().first().map_or(c, |e| e.cluster);
         system.expire_close_set(target);
-        assert!(system.cache_epoch_consistent());
         assert!(system.stats().recovery.cache_invalidations >= 1);
-        // Rebuild sees the new epoch and is consistent again.
+        // The next request rebuilds the purged set.
         let _ = system.close_set_of(c);
-        assert!(system.cache_epoch_consistent());
+        assert_eq!(system.stats().close_sets_built, 2);
     }
 
     #[test]
