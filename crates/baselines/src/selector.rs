@@ -6,10 +6,13 @@ use asap_workload::sessions::Session;
 use asap_workload::{HostId, Scenario};
 
 /// One candidate relay path: one or two intermediary hosts with the
-/// resulting end-to-end RTT and loss.
+/// resulting end-to-end RTT and loss. A path with no relays is the
+/// direct path; the ASAP runtime reports it that way when a call goes
+/// direct.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RelayPath {
-    /// The intermediary relay host(s): one for one-hop, two for two-hop.
+    /// The intermediary relay host(s): none for the direct path, one for
+    /// one-hop, two for two-hop.
     pub relays: Vec<HostId>,
     /// End-to-end RTT including per-relay forwarding delay, milliseconds.
     pub rtt_ms: f64,

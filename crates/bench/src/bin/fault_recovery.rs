@@ -8,8 +8,9 @@
 //! rate:
 //!
 //! * how many calls completed, were dropped mid-call, or failed over;
-//! * the relayed-call survival ratio (the headline robustness number:
-//!   at 1%/tick crash rate it must stay ≥ 99%);
+//! * the survival ratio: completed calls not dropped mid-call, over all
+//!   completed calls, direct ones included (the headline robustness
+//!   number: at 1%/tick crash rate it must stay ≥ 99%);
 //! * what recovery cost: warm handoffs vs cold re-elections, retries,
 //!   cache invalidations, recovery messages, and backoff wait
 //!   (stabilization) time.

@@ -35,7 +35,8 @@ json_row! {
         pub calls_dropped: u64,
         /// Mid-call relay failovers that found a replacement path.
         pub midcall_failovers: u64,
-        /// Relayed-call survival ratio (headline robustness number).
+        /// Completed calls not dropped mid-call, over all completed calls
+        /// (direct ones included): the headline robustness number.
         pub survival: f64,
         /// Warm standby promotions (quorum held; no cold re-election).
         pub warm_handoffs: u64,

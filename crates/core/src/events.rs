@@ -415,7 +415,7 @@ pub fn run_with(
                     let caller_cluster = scenario.population.cluster_of(session.caller);
                     let callee_cluster = scenario.population.cluster_of(session.callee);
                     let excused = outcome.shed_by_overload
-                        || run.drop_windows_active > 0
+                        || !run.drop_window_spans.is_empty()
                         || !system.cluster_control_usable(caller_cluster)
                         || !system.cluster_control_usable(callee_cluster)
                         || system.is_partitioned(scenario.population.host(session.caller).asn.0)
@@ -478,32 +478,26 @@ pub fn run_with(
             }
             Event::FaultEnd => {
                 // Only message-drop windows schedule an end event.
-                run.drop_windows_active = run.drop_windows_active.saturating_sub(1);
                 if let Some(span) = run.drop_window_spans.pop() {
                     spans.end(span, now.as_ms());
                 }
-                if run.drop_windows_active == 0 {
+                if run.drop_window_spans.is_empty() {
                     system.set_message_faults(None);
                 }
             }
             Event::PartitionEnd(asn) => {
                 // Heal only once the *latest* overlapping partition of
                 // this ASN has run out.
-                if run
-                    .partitioned_until
-                    .get(&asn)
-                    .is_some_and(|&until| until <= now.as_ms())
-                {
-                    run.partitioned_until.remove(&asn);
-                    system.heal_as(asn);
-                    if let Some(span) = run.partition_spans.remove(&asn) {
+                if let Some(&(until, span)) = run.partitioned_until.get(&asn) {
+                    if until <= now.as_ms() {
+                        run.partitioned_until.remove(&asn);
+                        system.heal_as(asn);
                         spans.end(span, now.as_ms());
                     }
                 }
             }
             Event::MembershipTick => {
-                let tick = system.membership_tick(now.as_ms());
-                for h in tick.demoted {
+                for h in system.membership_tick(now.as_ms()) {
                     // The surrogate role moved on; calls still relayed
                     // through the suspect must fail over too.
                     run.report.failovers += 1;
@@ -534,6 +528,7 @@ pub fn run_with(
 
 /// The event loop's own state: the queue, the calls in progress, the
 /// live fault windows with their telemetry spans, and the report so far.
+/// A message-drop window is live while its span is on the stack.
 #[derive(Default)]
 struct Run {
     queue: EventQueue<Event>,
@@ -543,12 +538,11 @@ struct Run {
     next_call_id: u64,
     /// ASN → congestion-burst end time (virtual ms).
     congested_until: BTreeMap<u32, u64>,
-    /// ASN → partition end time (virtual ms).
-    partitioned_until: BTreeMap<u32, u64>,
-    drop_windows_active: u32,
-    /// Open telemetry spans: one per live partition, a LIFO stack for
-    /// (possibly overlapping) message-drop windows.
-    partition_spans: BTreeMap<u32, Span>,
+    /// ASN → partition end time (virtual ms) and the partition's open
+    /// telemetry span.
+    partitioned_until: BTreeMap<u32, (u64, Span)>,
+    /// Open telemetry spans of the (possibly overlapping) message-drop
+    /// windows, a LIFO stack.
     drop_window_spans: Vec<Span>,
     report: SimReport,
 }
@@ -585,11 +579,11 @@ impl Run {
             FaultKind::AsPartition { asn, duration_ms } => {
                 system.partition_as(asn);
                 self.report.partitions += 1;
-                let until = self.partitioned_until.entry(asn).or_insert(0);
-                *until = (*until).max(now.as_ms() + duration_ms);
-                self.partition_spans
+                let (until, _) = self
+                    .partitioned_until
                     .entry(asn)
-                    .or_insert_with(|| spans.start("partition", now.as_ms()));
+                    .or_insert_with(|| (0, spans.start("partition", now.as_ms())));
+                *until = (*until).max(now.as_ms() + duration_ms);
                 self.queue
                     .schedule(now.after_ms(duration_ms), Event::PartitionEnd(asn));
                 // Calls with an endpoint inside the cut AS lose their
@@ -635,7 +629,6 @@ impl Run {
                 drop_prob,
                 duration_ms,
             } => {
-                self.drop_windows_active += 1;
                 self.drop_window_spans
                     .push(spans.start("drop_window", now.as_ms()));
                 system.set_message_faults(Some(MessageDrops::new(

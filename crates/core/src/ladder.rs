@@ -58,8 +58,6 @@ pub struct DegradationLadder {
     pub downgrades: u64,
     /// Times the ladder recovered to the full protocol.
     pub recoveries: u64,
-    /// Virtual ms of the last level change (0 if never changed).
-    pub last_change_ms: u64,
 }
 
 impl DegradationLadder {
@@ -68,13 +66,13 @@ impl DegradationLadder {
         self.level
     }
 
-    /// Records that a call was served at `level` at `now_ms`. Moving to
-    /// a more degraded level counts one downgrade; serving at
+    /// Records that a call was served at `level`. Moving to a more
+    /// degraded level counts one downgrade; serving at
     /// [`DegradationLevel::FullAsap`] from any degraded level counts one
     /// recovery. Serving at a *less* degraded (but not full) level moves
     /// the ladder there without counting — partial recoveries only count
     /// once the full protocol works again.
-    pub fn observe(&mut self, level: DegradationLevel, now_ms: u64) {
+    pub fn observe(&mut self, level: DegradationLevel) {
         if level == self.level {
             return;
         }
@@ -84,7 +82,6 @@ impl DegradationLadder {
             self.recoveries += 1;
         }
         self.level = level;
-        self.last_change_ms = now_ms;
     }
 
     /// Whether the ladder currently sits below the full protocol.
@@ -108,31 +105,30 @@ mod tests {
     #[test]
     fn observe_counts_downgrades_and_recoveries() {
         let mut ladder = DegradationLadder::default();
-        ladder.observe(DegradationLevel::FullAsap, 10);
+        ladder.observe(DegradationLevel::FullAsap);
         assert_eq!((ladder.downgrades, ladder.recoveries), (0, 0));
 
-        ladder.observe(DegradationLevel::StaleCloseSet, 20);
-        ladder.observe(DegradationLevel::DirectOnly, 30);
+        ladder.observe(DegradationLevel::StaleCloseSet);
+        ladder.observe(DegradationLevel::DirectOnly);
         assert_eq!(ladder.downgrades, 2);
         assert!(ladder.is_degraded());
 
         // Partial recovery moves but does not count.
-        ladder.observe(DegradationLevel::RandomProbe, 40);
+        ladder.observe(DegradationLevel::RandomProbe);
         assert_eq!(ladder.recoveries, 0);
         assert_eq!(ladder.level(), DegradationLevel::RandomProbe);
 
-        ladder.observe(DegradationLevel::FullAsap, 50);
+        ladder.observe(DegradationLevel::FullAsap);
         assert_eq!(ladder.recoveries, 1);
         assert!(!ladder.is_degraded());
-        assert_eq!(ladder.last_change_ms, 50);
     }
 
     #[test]
     fn repeated_same_level_is_a_no_op() {
         let mut ladder = DegradationLadder::default();
-        ladder.observe(DegradationLevel::RandomProbe, 5);
+        ladder.observe(DegradationLevel::RandomProbe);
         let snapshot = ladder;
-        ladder.observe(DegradationLevel::RandomProbe, 99);
+        ladder.observe(DegradationLevel::RandomProbe);
         assert_eq!(ladder, snapshot);
     }
 

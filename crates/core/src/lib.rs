@@ -65,7 +65,4 @@ pub use ladder::{DegradationLadder, DegradationLevel};
 pub use parallel::{run_sharded, run_sharded_on, shard_configs, shard_seed};
 pub use replica::ReplicaSet;
 pub use selector::AsapSelector;
-pub use system::{
-    AsapSystem, CallOutcome, ChosenPath, FetchResult, MembershipTickReport, OverloadStats,
-    RecoveryStats, SystemStats,
-};
+pub use system::{AsapSystem, CallOutcome, FetchResult, OverloadStats, RecoveryStats, SystemStats};

@@ -102,14 +102,12 @@ impl CloseRelaySelection {
         }
     }
 
-    /// The selection restricted to candidates whose clusters all satisfy
-    /// `keep` — the shared filter behind dead-cluster exclusion and
-    /// load-aware spillover (a relay cluster whose hosts answered
-    /// [`asap_netsim::capacity::SlotVerdict::Busy`] is dropped and the
-    /// caller moves to the next candidate without re-running
-    /// `select-close-relay()`). Filtering costs no messages: the
-    /// candidates are already cached.
-    pub fn retaining(&self, keep: &dyn Fn(ClusterId) -> bool) -> CloseRelaySelection {
+    /// The selection with every candidate touching one of `dead_clusters`
+    /// removed — the cached candidate set a caller falls back on when its
+    /// relay dies mid-call, without re-running `select-close-relay()`.
+    /// Filtering costs no messages: the candidates are already cached.
+    pub fn excluding(&self, dead_clusters: &[ClusterId]) -> CloseRelaySelection {
+        let keep = |c: ClusterId| !dead_clusters.contains(&c);
         CloseRelaySelection {
             one_hop: self
                 .one_hop
@@ -124,15 +122,8 @@ impl CloseRelaySelection {
                 .cloned()
                 .collect(),
             expanded_two_hop: self.expanded_two_hop,
-            messages: 0, // re-use of cached candidates costs no messages
+            messages: 0,
         }
-    }
-
-    /// The selection with every candidate touching one of `dead_clusters`
-    /// removed — the cached candidate set a caller falls back on when its
-    /// relay dies mid-call, without re-running `select-close-relay()`.
-    pub fn excluding(&self, dead_clusters: &[ClusterId]) -> CloseRelaySelection {
-        self.retaining(&|c| !dead_clusters.contains(&c))
     }
 }
 

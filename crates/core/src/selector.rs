@@ -1,6 +1,6 @@
 //! Adapter plugging ASAP into the shared evaluation harness.
 
-use asap_baselines::{RelayPath, RelaySelector, SelectionOutcome};
+use asap_baselines::{RelaySelector, SelectionOutcome};
 use asap_telemetry::LedgerScope;
 use asap_voip::QualityRequirement;
 use asap_workload::sessions::Session;
@@ -54,15 +54,8 @@ impl RelaySelector for AsapSelector<'_> {
             result.quality_paths = sel.quality_paths();
             result.probed_nodes = (sel.one_hop.len() + sel.two_hop.len()) as u64;
         }
-        if let Some(chosen) = outcome.chosen {
-            if !chosen.relays.is_empty() {
-                result.best = Some(RelayPath {
-                    relays: chosen.relays,
-                    rtt_ms: chosen.rtt_ms,
-                    loss: chosen.loss,
-                });
-            }
-        }
+        // A direct path (no relays) is not a relay path.
+        result.best = outcome.chosen.filter(|p| !p.relays.is_empty());
         result
     }
 

@@ -28,8 +28,9 @@ use std::cell::{Cell, RefCell, RefMut};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
+use asap_baselines::RelayPath;
 use asap_cluster::{Asn, ClusterId};
-use asap_netsim::capacity::{Admission, AdmissionQueue, RelaySlots, ShedCause, SlotVerdict};
+use asap_netsim::capacity::{Admission, AdmissionQueue, RelaySlots, ShedCause};
 use asap_netsim::faults::MessageDrops;
 use asap_netsim::membership::{MembershipView, Verdict};
 use asap_telemetry::{Counter, Gauge, HistogramHandle, LedgerScope, MessageKind, Telemetry};
@@ -48,7 +49,7 @@ use crate::select::{select_close_relay, CloseRelaySelection};
 pub struct RecoveryStats {
     /// Control requests that timed out (dropped request or reply).
     pub timeouts: u64,
-    /// Requests re-sent after a timeout.
+    /// Requests re-sent after a timeout: one per timeout.
     pub retries: u64,
     /// Mid-call relay failovers performed.
     pub failovers: u64,
@@ -57,8 +58,10 @@ pub struct RecoveryStats {
     /// Cached close sets dropped because a referenced cluster's surrogate
     /// epoch advanced without a warm handoff.
     pub cache_invalidations: u64,
-    /// Messages spent purely on recovery: wasted request/reply pairs,
-    /// re-election notifications, quorum rounds, failover re-pings.
+    /// Messages spent purely on recovery: the handoff and election
+    /// messages in the ledger (quorum rounds, re-election notifications)
+    /// plus one wasted request/reply pair per timeout and one re-ping
+    /// pair per failover.
     pub recovery_messages: u64,
     /// Virtual milliseconds (the simulator's tick) spent waiting on
     /// retry backoff before requests got through.
@@ -189,12 +192,14 @@ impl OverloadStats {
 }
 
 /// Counters describing everything the system did since bootstrap.
-/// Message costs are no longer counted here: every control message is
+/// Message costs are not counted here: every control message is
 /// recorded, by [`MessageKind`], into the system's telemetry ledger
-/// scope (see [`AsapSystem::ledger_scope`]).
+/// scope (see [`AsapSystem::ledger_scope`]), and the fields that count
+/// messages are read from it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SystemStats {
-    /// Hosts that completed the join handshake.
+    /// Hosts that completed the join handshake (the join requests in
+    /// the ledger).
     pub joins: u64,
     /// Calls placed.
     pub calls: u64,
@@ -228,11 +233,12 @@ pub struct CallOutcome {
     pub used_direct: bool,
     /// The relay selection, when one ran.
     pub selection: Option<CloseRelaySelection>,
-    /// The relay host(s) actually picked, with the true RTT and loss of
-    /// the resulting path (empty relays = direct path).
-    pub chosen: Option<ChosenPath>,
-    /// Messages this call spent: 2 for the direct ping, plus the
-    /// selection (or probing) messages.
+    /// The path actually picked, with its true RTT and loss: no relays
+    /// for the direct path, one or two relay hosts otherwise.
+    pub chosen: Option<RelayPath>,
+    /// Messages this call recorded in the ledger scope: 2 for the direct
+    /// ping, plus any wasted fetch attempts, hedge legs, selection or
+    /// probing messages.
     pub messages: u64,
     /// The service-ladder rung this call was served at.
     pub degradation: DegradationLevel,
@@ -250,33 +256,9 @@ pub struct FetchResult {
     pub set: Option<Arc<CloseClusterSet>>,
     /// The service-ladder rung the set was obtained at.
     pub level: DegradationLevel,
-    /// Extra messages spent on dropped attempts and hedge legs.
-    pub extra_messages: u64,
     /// Whether admission control shed this fetch before it reached the
     /// surrogate.
     pub shed: bool,
-}
-
-/// The concrete path a call ends up using.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChosenPath {
-    /// Relay hosts (empty = direct, one = one-hop, two = two-hop).
-    pub relays: Vec<HostId>,
-    /// True end-to-end RTT in milliseconds.
-    pub rtt_ms: f64,
-    /// True end-to-end loss probability.
-    pub loss: f64,
-}
-
-/// What one membership sweep did: heartbeats delivered and active
-/// surrogates demoted because the detector declared them dead.
-#[derive(Debug, Clone, Default)]
-pub struct MembershipTickReport {
-    /// Heartbeats delivered to reachable monitored nodes.
-    pub heartbeats: u64,
-    /// Active surrogates demoted this sweep (callers should fail over
-    /// any call still relayed through them).
-    pub demoted: Vec<HostId>,
 }
 
 /// The running ASAP system over a scenario.
@@ -339,12 +321,12 @@ pub struct AsapSystem<'a> {
     call_rtt: HistogramHandle,
 }
 
-/// The [`SystemStats`] counters with no other store. The two ladder
-/// fields of `recovery` stay zero here: [`AsapSystem::stats`] sums them
-/// from the ladders.
+/// The [`SystemStats`] counters with no other store. Four fields of
+/// `recovery` stay zero here: [`AsapSystem::stats`] sums the two ladder
+/// fields from the ladders and derives `retries` and
+/// `recovery_messages`.
 #[derive(Debug, Clone, Copy, Default)]
 struct Tallies {
-    joins: u64,
     direct_calls: u64,
     relayed_calls: u64,
     queue_wait_ms: u64,
@@ -426,7 +408,8 @@ impl<'a> AsapSystem<'a> {
     /// share one telemetry context under distinct scope names — e.g.
     /// `"ASAP@small"` / `"ASAP@large"` in a scalability sweep. They must
     /// not share a scope name: [`AsapSystem::stats`] reads the overload
-    /// and cache counters from the registry under that name, so two
+    /// and cache counters from the registry under that name, and the
+    /// join and recovery message counts from the ledger scope, so two
     /// systems on one `(telemetry, scope_name)` would see each other's.
     ///
     /// # Panics
@@ -510,13 +493,16 @@ impl<'a> AsapSystem<'a> {
 
     /// A snapshot of the counters, assembled from the one store of each:
     /// the registry meters (overload counters, cache outcomes), the
-    /// ladder table (downgrades, recoveries) and the local tallies.
-    /// Derived fields are computed: every call is direct or relayed,
-    /// every cache miss builds one close set, and every cluster was
-    /// elected once at bootstrap plus once per cold re-election.
+    /// ledger scope (joins, handoff and election messages), the ladder
+    /// table (downgrades, recoveries) and the local tallies. Derived
+    /// fields are computed: every call is direct or relayed, every cache
+    /// miss builds one close set, every cluster was elected once at
+    /// bootstrap plus once per cold re-election, every timeout is retried
+    /// once, and every timeout and failover wastes one message pair.
     pub fn stats(&self) -> SystemStats {
         let t = *self.stats.borrow();
         let m = &self.meters;
+        let ledger = |kind: MessageKind| self.scope.count(kind);
         let (downgrades, ladder_recoveries) = self
             .ladders
             .borrow()
@@ -524,7 +510,7 @@ impl<'a> AsapSystem<'a> {
             .fold((0, 0), |(d, r), l| (d + l.downgrades, r + l.recoveries));
         let clusters = self.scenario.population.clustering().cluster_count() as u64;
         SystemStats {
-            joins: t.joins,
+            joins: ledger(MessageKind::JoinRequest),
             calls: t.direct_calls + t.relayed_calls,
             direct_calls: t.direct_calls,
             relayed_calls: t.relayed_calls,
@@ -533,6 +519,10 @@ impl<'a> AsapSystem<'a> {
             close_set_cache_misses: m.cache_misses.get(),
             elections: clusters + t.recovery.re_elections,
             recovery: RecoveryStats {
+                retries: t.recovery.timeouts,
+                recovery_messages: ledger(MessageKind::Handoff)
+                    + ledger(MessageKind::Election)
+                    + 2 * (t.recovery.timeouts + t.recovery.failovers),
                 downgrades,
                 ladder_recoveries,
                 ..t.recovery
@@ -903,11 +893,9 @@ impl<'a> AsapSystem<'a> {
         if let (true, Some(promoted)) = (quorum, promoted) {
             self.replicas.borrow_mut().promote(cluster, slot, promoted);
             self.backfill_standbys(cluster);
-            let mut recovery = self.recovery();
-            recovery.warm_handoffs += 1;
+            self.recovery().warm_handoffs += 1;
             // One quorum round among the replica set plus the bootstrap
             // notification.
-            recovery.recovery_messages += 2 + set_size as u64;
             self.scope
                 .record_for_cluster(cluster.0, MessageKind::Handoff, 2 + set_size as u64);
         } else {
@@ -928,7 +916,6 @@ impl<'a> AsapSystem<'a> {
                 recovery.quorum_failures += 1;
             }
             // Bootstrap notification (2 messages) plus one per member.
-            recovery.recovery_messages += 2 + members;
             self.scope
                 .record_for_cluster(cluster.0, MessageKind::Election, 2 + members);
         }
@@ -973,17 +960,17 @@ impl<'a> AsapSystem<'a> {
     /// heartbeats, then active surrogates (and lingering standbys) whose
     /// verdict is [`Verdict::Dead`] are demoted/replaced — unless the
     /// whole cluster has no usable member, in which case the current set
-    /// is kept rather than churning pointless elections.
-    pub fn membership_tick(&self, now_ms: u64) -> MembershipTickReport {
+    /// is kept rather than churning pointless elections. Returns the
+    /// active surrogates demoted this sweep: callers should fail over any
+    /// call still relayed through them.
+    pub fn membership_tick(&self, now_ms: u64) -> Vec<HostId> {
         self.advance_to(now_ms);
-        let mut heartbeats = 0u64;
         {
             let mut view = self.membership.borrow_mut();
             for id in view.watched() {
                 if self.host_reachable(HostId(id)) {
                     view.heartbeat(id, now_ms);
                     self.scope.record_for_node(id, MessageKind::Heartbeat, 1);
-                    heartbeats += 1;
                 }
             }
         }
@@ -1031,10 +1018,7 @@ impl<'a> AsapSystem<'a> {
                 self.backfill_standbys(cluster);
             }
         }
-        MembershipTickReport {
-            heartbeats,
-            demoted,
-        }
+        demoted
     }
 
     /// Forces `cluster`'s close-set epoch stale — as if its surrogate set
@@ -1053,7 +1037,6 @@ impl<'a> AsapSystem<'a> {
         let h = self.scenario.population.host(host);
         let cluster = self.scenario.population.cluster_of(host);
         let surrogate = self.serving_surrogate(cluster, host);
-        self.stats.borrow_mut().joins += 1;
         self.scope.record(MessageKind::JoinRequest, 1);
         self.scope.record(MessageKind::JoinReply, 1);
         self.scope.record(MessageKind::CloseSetRequest, 1);
@@ -1103,18 +1086,12 @@ impl<'a> AsapSystem<'a> {
     /// the hedge leg is dropped too. The leg's request/reply pair is
     /// metered in the ledger against the standby under the dedicated
     /// hedge message kinds, so the cost of hedging is visible.
-    fn hedge_fetch(
-        &self,
-        cluster: ClusterId,
-        requester: HostId,
-        extra: &mut u64,
-    ) -> Option<Arc<CloseClusterSet>> {
+    fn hedge_fetch(&self, cluster: ClusterId, requester: HostId) -> Option<Arc<CloseClusterSet>> {
         let standby = self
             .standbys_of(cluster)
             .into_iter()
             .find(|&h| self.host_usable(h))?;
         self.meters.hedged.inc();
-        *extra += 2;
         self.scope
             .record_for_node(standby.0, MessageKind::HedgeRequest, 1);
         self.scope
@@ -1152,7 +1129,6 @@ impl<'a> AsapSystem<'a> {
     /// warm standby replica and the first answer wins, with both legs
     /// metered.
     pub fn fetch_close_set_degraded(&self, cluster: ClusterId, requester: HostId) -> FetchResult {
-        let mut extra = 0u64;
         let mut shed = false;
         if self.cluster_control_usable(cluster) {
             let surrogate = self.route_surrogate(cluster, requester);
@@ -1160,12 +1136,11 @@ impl<'a> AsapSystem<'a> {
                 Admission::Shed(_) => shed = true,
                 Admission::Admit { waited_ms, .. } => {
                     self.record_surrogate_load(cluster, surrogate);
-                    let served = self.fetch_admitted(cluster, requester, waited_ms, &mut extra);
+                    let served = self.fetch_admitted(cluster, requester, waited_ms);
                     if served.is_some() {
                         return FetchResult {
                             set: served,
                             level: DegradationLevel::FullAsap,
-                            extra_messages: extra,
                             shed: false,
                         };
                     }
@@ -1187,14 +1162,12 @@ impl<'a> AsapSystem<'a> {
                 FetchResult {
                     set: Some(set),
                     level: DegradationLevel::StaleCloseSet,
-                    extra_messages: extra,
                     shed,
                 }
             }
             None => FetchResult {
                 set: None,
                 level: DegradationLevel::RandomProbe,
-                extra_messages: extra,
                 shed,
             },
         }
@@ -1205,13 +1178,12 @@ impl<'a> AsapSystem<'a> {
     /// against the injected drops, hedged to a standby once the
     /// accumulated wait crosses the hedge delay. Returns the first
     /// answer, or `None` when every attempt (and the hedge) was dropped.
-    /// Wasted legs are added to `extra`.
+    /// Wasted request/reply pairs are recorded in the ledger.
     fn fetch_admitted(
         &self,
         cluster: ClusterId,
         requester: HostId,
         waited_ms: u64,
-        extra: &mut u64,
     ) -> Option<Arc<CloseClusterSet>> {
         let capacity = self.config.capacity;
         let mut hedged = false;
@@ -1219,7 +1191,7 @@ impl<'a> AsapSystem<'a> {
         // before the surrogate even serves it.
         if capacity.enabled && waited_ms >= capacity.hedge_delay_ms {
             hedged = true;
-            if let Some(set) = self.hedge_fetch(cluster, requester, extra) {
+            if let Some(set) = self.hedge_fetch(cluster, requester) {
                 return Some(set);
             }
         }
@@ -1234,15 +1206,13 @@ impl<'a> AsapSystem<'a> {
             if !faults.drops(key) {
                 return Some(self.close_set_of(cluster));
             }
-            *extra += 2; // the wasted request/reply pair
+            // The wasted request/reply pair.
             self.scope.record(MessageKind::CloseSetRequest, 1);
             self.scope.record(MessageKind::CloseSetReply, 1);
             let backoff = retry.backoff_ms(attempt, key);
             {
                 let mut recovery = self.recovery();
                 recovery.timeouts += 1;
-                recovery.retries += 1;
-                recovery.recovery_messages += 2;
                 recovery.stabilization_ticks += backoff;
             }
             waited_total += backoff;
@@ -1250,7 +1220,7 @@ impl<'a> AsapSystem<'a> {
             // hedge delay.
             if capacity.enabled && !hedged && waited_total >= capacity.hedge_delay_ms {
                 hedged = true;
-                if let Some(set) = self.hedge_fetch(cluster, requester, extra) {
+                if let Some(set) = self.hedge_fetch(cluster, requester) {
                     return Some(set);
                 }
             }
@@ -1275,10 +1245,10 @@ impl<'a> AsapSystem<'a> {
     /// callee, attempt) over the whole population — AS-blind, no
     /// surrogate involved — and the best responding one-hop path wins
     /// even above `latT`. Returns the best path and the probes sent.
-    fn probe_relays(&self, caller: HostId, callee: HostId) -> (Option<ChosenPath>, u64) {
+    fn probe_relays(&self, caller: HostId, callee: HostId) -> (Option<RelayPath>, u64) {
         let host_count = self.scenario.population.hosts().len() as u64;
         let mut attempts = 0u64;
-        let mut best: Option<ChosenPath> = None;
+        let mut best: Option<RelayPath> = None;
         for i in 0..self.config.membership.mix_probes {
             let key = (u64::from(caller.0) << 40) ^ (u64::from(callee.0) << 16) ^ i as u64;
             let h = HostId((mix64(key) % host_count) as u32);
@@ -1290,7 +1260,7 @@ impl<'a> AsapSystem<'a> {
                 continue;
             };
             if best.as_ref().is_none_or(|b| rtt < b.rtt_ms) {
-                best = Some(ChosenPath {
+                best = Some(RelayPath {
                     relays: vec![h],
                     rtt_ms: rtt,
                     loss,
@@ -1302,56 +1272,70 @@ impl<'a> AsapSystem<'a> {
 
     /// Records the rung `cluster` was served at; the ladder counts its
     /// own transitions.
-    fn observe_ladder(&self, cluster: ClusterId, level: DegradationLevel, now_ms: u64) {
-        self.ladders.borrow_mut()[cluster.0 as usize].observe(level, now_ms);
+    fn observe_ladder(&self, cluster: ClusterId, level: DegradationLevel) {
+        self.ladders.borrow_mut()[cluster.0 as usize].observe(level);
     }
 
     /// Places a call (steps 5–10 of Fig. 8): ping the direct route; if it
     /// violates `latT`, walk the service ladder — `select-close-relay()`
     /// over fresh or bounded-stale close sets, then MIX-style random
     /// probing, then the direct path even above `latT`.
+    ///
+    /// Every message is recorded in the ledger scope where it is sent;
+    /// the outcome's `messages` is the scope's growth across the call.
     pub fn call(&self, caller: HostId, callee: HostId) -> CallOutcome {
-        let now = self.now_ms();
-        let mut messages = 2; // direct-route ping + reply (or its timeout)
-        self.scope.record(MessageKind::CallSetup, 2);
+        let before = self.scope.total();
+        let mut outcome = self.place_call(caller, callee);
+        outcome.messages = self.scope.total() - before;
+        {
+            let mut tallies = self.stats.borrow_mut();
+            if outcome.used_direct {
+                tallies.direct_calls += 1;
+            } else {
+                tallies.relayed_calls += 1;
+            }
+        }
+        if let Some(path) = &outcome.chosen {
+            self.call_rtt.record(path.rtt_ms);
+        }
+        outcome
+    }
 
+    /// The protocol steps of [`AsapSystem::call`]; `messages` is left 0.
+    fn place_call(&self, caller: HostId, callee: HostId) -> CallOutcome {
+        // Direct-route ping + reply (or its timeout).
+        self.scope.record(MessageKind::CallSetup, 2);
+        let mut outcome = CallOutcome {
+            direct_rtt_ms: None,
+            used_direct: false,
+            selection: None,
+            chosen: None,
+            messages: 0,
+            degradation: DegradationLevel::FullAsap,
+            shed_by_overload: false,
+        };
         if !self.pair_connected(caller, callee) {
             // The direct ping times out, and no relay can bridge into a
             // partitioned AS either: the call fails outright.
-            self.stats.borrow_mut().relayed_calls += 1;
-            return CallOutcome {
-                direct_rtt_ms: None,
-                used_direct: false,
-                selection: None,
-                chosen: None,
-                messages,
-                degradation: DegradationLevel::FullAsap,
-                shed_by_overload: false,
-            };
+            return outcome;
         }
 
-        let direct = self.scenario.host_metrics(caller, callee);
-        let direct_rtt_ms = direct.map(|(rtt, _)| rtt);
-        let direct_loss = direct.map_or(1.0, |(_, loss)| loss);
-
-        if let Some(rtt) = direct_rtt_ms {
-            if rtt < self.config.lat_t_ms {
-                self.stats.borrow_mut().direct_calls += 1;
-                self.call_rtt.record(rtt);
-                return CallOutcome {
-                    direct_rtt_ms,
-                    used_direct: true,
-                    selection: None,
-                    chosen: Some(ChosenPath {
-                        relays: Vec::new(),
-                        rtt_ms: rtt,
-                        loss: direct_loss,
-                    }),
-                    messages,
-                    degradation: DegradationLevel::FullAsap,
-                    shed_by_overload: false,
-                };
-            }
+        let direct = self
+            .scenario
+            .host_metrics(caller, callee)
+            .map(|(rtt_ms, loss)| RelayPath {
+                relays: Vec::new(),
+                rtt_ms,
+                loss,
+            });
+        outcome.direct_rtt_ms = direct.as_ref().map(|p| p.rtt_ms);
+        if direct
+            .as_ref()
+            .is_some_and(|p| p.rtt_ms < self.config.lat_t_ms)
+        {
+            outcome.used_direct = true;
+            outcome.chosen = direct;
+            return outcome;
         }
 
         let caller_cluster = self.scenario.population.cluster_of(caller);
@@ -1366,33 +1350,16 @@ impl<'a> AsapSystem<'a> {
         };
         if isolated {
             self.recovery().forced_direct += 1;
-            self.observe_ladder(caller_cluster, DegradationLevel::DirectOnly, now);
-            self.stats.borrow_mut().relayed_calls += 1;
-            if let Some(rtt) = direct_rtt_ms {
-                self.call_rtt.record(rtt);
-            }
-            return CallOutcome {
-                direct_rtt_ms,
-                used_direct: false,
-                selection: None,
-                chosen: direct_rtt_ms.map(|rtt| ChosenPath {
-                    relays: Vec::new(),
-                    rtt_ms: rtt,
-                    loss: direct_loss,
-                }),
-                messages,
-                degradation: DegradationLevel::DirectOnly,
-                shed_by_overload: false,
-            };
+            self.observe_ladder(caller_cluster, DegradationLevel::DirectOnly);
+            outcome.degradation = DegradationLevel::DirectOnly;
+            outcome.chosen = direct;
+            return outcome;
         }
 
         let fetch1 = self.fetch_close_set_degraded(caller_cluster, caller);
         let fetch2 = self.fetch_close_set_degraded(callee_cluster, caller);
-        messages += fetch1.extra_messages + fetch2.extra_messages;
-        let shed_by_overload = fetch1.shed || fetch2.shed;
+        outcome.shed_by_overload = fetch1.shed || fetch2.shed;
         let mut level = fetch1.level.max(fetch2.level);
-        let mut selection = None;
-        let chosen;
 
         if let (Some(caller_set), Some(callee_set)) = (fetch1.set, fetch2.set) {
             let clustering = self.scenario.population.clustering();
@@ -1401,7 +1368,6 @@ impl<'a> AsapSystem<'a> {
                 select_close_relay(&caller_set, &callee_set, &self.config, &cluster_size, |c| {
                     self.close_set_of(c)
                 });
-            messages += sel.messages;
             // The selection exchange is close-set requests/replies with
             // the two surrogates (2 messages one-hop; §7.3).
             self.scope.record(
@@ -1413,60 +1379,33 @@ impl<'a> AsapSystem<'a> {
             // "Comprehensively considering" the candidates: evaluate the
             // top few by true path RTT (their surrogates' measurements
             // are estimates) and keep the best.
-            chosen = self.pick_best(caller, callee, &sel, &[]);
-            selection = Some(sel);
+            outcome.chosen = self.pick_best(caller, callee, &sel, &[]);
+            outcome.selection = Some(sel);
         } else {
             level = level.max(DegradationLevel::RandomProbe);
             let (best, attempts) = self.probe_relays(caller, callee);
-            messages += 2 * attempts;
             self.scope.record(MessageKind::ProbeRequest, attempts);
             self.scope.record(MessageKind::ProbeReply, attempts);
             self.recovery().probe_fallbacks += 1;
-            match best {
-                Some(path) => chosen = Some(path),
-                None => {
-                    level = DegradationLevel::DirectOnly;
-                    self.recovery().forced_direct += 1;
-                    chosen = direct_rtt_ms.map(|rtt| ChosenPath {
-                        relays: Vec::new(),
-                        rtt_ms: rtt,
-                        loss: direct_loss,
-                    });
-                }
+            if best.is_none() {
+                level = DegradationLevel::DirectOnly;
+                self.recovery().forced_direct += 1;
             }
+            outcome.chosen = best.or(direct);
         }
 
-        self.observe_ladder(caller_cluster, level, now);
-        self.stats.borrow_mut().relayed_calls += 1;
-        if let Some(path) = &chosen {
-            self.call_rtt.record(path.rtt_ms);
-        }
-
-        CallOutcome {
-            direct_rtt_ms,
-            used_direct: false,
-            selection,
-            chosen,
-            messages,
-            degradation: level,
-            shed_by_overload,
-        }
+        self.observe_ladder(caller_cluster, level);
+        outcome.degradation = level;
+        outcome
     }
 
-    /// The capacity verdict on routing one more call through `host`:
-    /// [`SlotVerdict::Busy`] when every relay-call slot is occupied (the
-    /// typed "try the next candidate" answer), [`SlotVerdict::Granted`]
-    /// otherwise or when the capacity model is disabled.
-    pub fn relay_admission(&self, host: HostId) -> SlotVerdict {
-        match &self.relay_slots {
-            Some(slots) if slots.borrow().busy(host.0 as usize) => SlotVerdict::Busy,
-            _ => SlotVerdict::Granted,
-        }
-    }
-
-    /// Whether `host` currently answers [`SlotVerdict::Busy`].
+    /// Whether every relay-call slot of `host` is occupied (never, with
+    /// the capacity model disabled). Selection skips a busy relay and
+    /// spills over to the next candidate.
     pub fn relay_busy(&self, host: HostId) -> bool {
-        self.relay_admission(host) == SlotVerdict::Busy
+        self.relay_slots
+            .as_ref()
+            .is_some_and(|slots| slots.borrow().busy(host.0 as usize))
     }
 
     /// Occupies one relay-call slot on every host of `relays` (the
@@ -1510,8 +1449,8 @@ impl<'a> AsapSystem<'a> {
 
     /// Evaluates the top candidates of a selection against the true
     /// network and returns the best concrete path, load-aware: a relay
-    /// whose call slots are full answers [`SlotVerdict::Busy`] and the
-    /// caller spills over to the next candidate. Only when *every*
+    /// whose call slots are full ([`AsapSystem::relay_busy`]) is skipped
+    /// and the caller spills over to the next candidate. Only when *every*
     /// candidate is busy does a second, load-blind pass run — the
     /// least-bad saturated relay still beats failing the call, and the
     /// over-limit acquire that follows makes the runtime fail away from
@@ -1522,7 +1461,7 @@ impl<'a> AsapSystem<'a> {
         callee: HostId,
         selection: &CloseRelaySelection,
         dead: &[HostId],
-    ) -> Option<ChosenPath> {
+    ) -> Option<RelayPath> {
         let mut busy_skips = 0u64;
         let best = self.pick_best_filtered(caller, callee, selection, dead, true, &mut busy_skips);
         if busy_skips == 0 {
@@ -1549,20 +1488,19 @@ impl<'a> AsapSystem<'a> {
         dead: &[HostId],
         skip_busy: bool,
         busy_skips: &mut u64,
-    ) -> Option<ChosenPath> {
+    ) -> Option<RelayPath> {
         // All one-hop candidates are evaluated (their RTT estimates are
         // already on hand from the close sets, per the paper's
         // "comprehensively considering" step); two-hop pairs are capped —
         // they only matter when the one-hop set is thin anyway.
-        let one_hop_scan = selection.one_hop.len();
         const TWO_HOP_SCAN: usize = 64;
-        let mut best: Option<ChosenPath> = None;
+        let mut best: Option<RelayPath> = None;
         // RTT and loss of a leg come from one route lookup; an unroutable
         // leg rules the candidate out.
         let mut consider = |relays: &[HostId], metrics: Option<(f64, f64)>| {
             if let Some((rtt_ms, loss)) = metrics {
                 if best.as_ref().is_none_or(|b| rtt_ms < b.rtt_ms) {
-                    best = Some(ChosenPath {
+                    best = Some(RelayPath {
                         relays: relays.to_vec(),
                         rtt_ms,
                         loss,
@@ -1571,7 +1509,7 @@ impl<'a> AsapSystem<'a> {
             }
         };
 
-        for r in selection.one_hop.iter().take(one_hop_scan) {
+        for r in &selection.one_hop {
             let relay = self.surrogate_of(r.cluster);
             if relay == caller
                 || relay == callee
@@ -1625,7 +1563,7 @@ impl<'a> AsapSystem<'a> {
         callee: HostId,
         selection: &CloseRelaySelection,
         dead: &[HostId],
-    ) -> Option<ChosenPath> {
+    ) -> Option<RelayPath> {
         // A cluster is only unusable when every surrogate is down — a
         // crash of the primary redirects `surrogate_of` to the promoted
         // standby (or re-elected replacement) automatically.
@@ -1638,19 +1576,15 @@ impl<'a> AsapSystem<'a> {
         let mut best = self.pick_best(caller, callee, &filtered, dead);
         if best.is_none() && self.pair_connected(caller, callee) {
             if let Some((rtt_ms, loss)) = self.scenario.host_metrics(caller, callee) {
-                best = Some(ChosenPath {
+                best = Some(RelayPath {
                     relays: Vec::new(),
                     rtt_ms,
                     loss,
                 });
             }
         }
-        {
-            let mut recovery = self.recovery();
-            recovery.failovers += 1;
-            // Re-ping of the replacement path.
-            recovery.recovery_messages += 2;
-        }
+        self.recovery().failovers += 1;
+        // Re-ping of the replacement path.
         self.scope.record(MessageKind::CallSetup, 2);
         best
     }
@@ -1872,8 +1806,7 @@ mod tests {
         let interval = system.config().membership.suspicion.heartbeat_interval_ms;
         let mut demoted = false;
         for k in 1..=120 {
-            let tick = system.membership_tick(k * interval);
-            if tick.demoted.contains(&victim) {
+            if system.membership_tick(k * interval).contains(&victim) {
                 demoted = true;
                 break;
             }
@@ -1891,8 +1824,8 @@ mod tests {
         let system = AsapSystem::bootstrap(&s, AsapConfig::default());
         let interval = system.config().membership.suspicion.heartbeat_interval_ms;
         for k in 1..=60 {
-            let tick = system.membership_tick(k * interval);
-            assert!(tick.demoted.is_empty(), "healthy node demoted at tick {k}");
+            let demoted = system.membership_tick(k * interval);
+            assert!(demoted.is_empty(), "healthy node demoted at tick {k}");
         }
         assert_eq!(system.stats().recovery.suspected_dead, 0);
     }
@@ -2282,12 +2215,8 @@ mod tests {
         let overload = system.stats().overload;
         assert_eq!(overload.hedged_fetches, 1, "the queued fetch must hedge");
         assert_eq!(overload.hedge_wins, 1, "no faults: the hedge answer wins");
-        assert_eq!(
-            second.extra_messages, 2,
-            "the hedge leg is exactly one request/reply pair"
-        );
-        // Both legs are in the ledger under the hedge kinds, attributed
-        // to the standby that served them.
+        // The hedge leg is exactly one request/reply pair, in the ledger
+        // under the hedge kinds, attributed to the standby that served it.
         let scope = system.ledger_scope();
         assert_eq!(scope.count(MessageKind::HedgeRequest), 1);
         assert_eq!(scope.count(MessageKind::HedgeReply), 1);
@@ -2328,7 +2257,6 @@ mod tests {
         };
         assert!(limit >= 1, "every host has at least the base slot count");
         assert!(system.relay_busy(winner));
-        assert_eq!(system.relay_admission(winner), SlotVerdict::Busy);
         let repick = system.failover_path(slow.caller, slow.callee, &selection, &[]);
         let overload = system.stats().overload;
         assert!(

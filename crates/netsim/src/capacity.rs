@@ -8,11 +8,11 @@
 //! module provides the two bounded resources the protocol layer consults:
 //!
 //! * [`RelaySlots`] — concurrent relay-call slots per host, derived from
-//!   nodal capability. Selection asks [`RelaySlots::try_acquire`] and a
-//!   busy relay answers with a typed [`SlotVerdict::Busy`] so the caller
-//!   spills over to the next candidate; degraded paths that cannot spill
-//!   use [`RelaySlots::force_acquire`] and the overshoot is reported so
-//!   the runtime can treat the saturated relay like a crashed one.
+//!   nodal capability. Selection skips a relay that is
+//!   [`RelaySlots::busy`], so the caller spills over to the next
+//!   candidate. A call that starts on a path takes its slots with
+//!   [`RelaySlots::force_acquire`], and the overshoot is reported so the
+//!   runtime can treat the saturated relay like a crashed one.
 //! * [`AdmissionQueue`] — a surrogate's bounded, deadline-aware request
 //!   queue over a fixed request-rate budget. Offers are admitted
 //!   immediately, queued behind a deterministic virtual service clock, or
@@ -193,16 +193,6 @@ impl AdmissionQueue {
     }
 }
 
-/// Typed answer of a relay asked to carry one more call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlotVerdict {
-    /// The relay has a free slot; the call may use it.
-    Granted,
-    /// Every slot is occupied; the caller should spill over to the next
-    /// close-relay candidate.
-    Busy,
-}
-
 /// Concurrent relay-call slots for a whole host population.
 ///
 /// Slot limits derive from nodal capability via
@@ -213,8 +203,9 @@ pub enum SlotVerdict {
 pub struct RelaySlots {
     limits: Vec<u32>,
     in_use: Vec<u32>,
-    /// Per-host high-water occupancy (diagnoses force-acquire overshoot).
-    max_in_use: Vec<u32>,
+    /// Highest occupancy any host reached (diagnoses force-acquire
+    /// overshoot).
+    max_in_use: u32,
 }
 
 impl RelaySlots {
@@ -228,7 +219,7 @@ impl RelaySlots {
         RelaySlots {
             limits,
             in_use: vec![0; n],
-            max_in_use: vec![0; n],
+            max_in_use: 0,
         }
     }
 
@@ -237,23 +228,13 @@ impl RelaySlots {
         self.in_use[host] >= self.limits[host]
     }
 
-    /// Asks `host` for a slot: [`SlotVerdict::Busy`] leaves occupancy
-    /// untouched so the caller can spill over.
-    pub fn try_acquire(&mut self, host: usize) -> SlotVerdict {
-        if self.busy(host) {
-            return SlotVerdict::Busy;
-        }
-        self.in_use[host] += 1;
-        self.max_in_use[host] = self.max_in_use[host].max(self.in_use[host]);
-        SlotVerdict::Granted
-    }
-
-    /// Takes a slot unconditionally (degraded paths that could not spill
-    /// over). Returns `true` when the host is now *over* its limit — the
-    /// saturation signal the runtime treats like a crash.
+    /// Takes a slot unconditionally (a call starting on a path, which
+    /// may have found no free relay to spill to). Returns `true` when
+    /// the host is now *over* its limit — the saturation signal the
+    /// runtime treats like a crash.
     pub fn force_acquire(&mut self, host: usize) -> bool {
         self.in_use[host] += 1;
-        self.max_in_use[host] = self.max_in_use[host].max(self.in_use[host]);
+        self.max_in_use = self.max_in_use.max(self.in_use[host]);
         self.in_use[host] > self.limits[host]
     }
 
@@ -263,19 +244,9 @@ impl RelaySlots {
         self.in_use[host] = self.in_use[host].saturating_sub(1);
     }
 
-    /// Slots currently occupied on `host`.
-    pub fn in_use(&self, host: usize) -> u32 {
-        self.in_use[host]
-    }
-
-    /// `host`'s slot limit.
-    pub fn limit(&self, host: usize) -> u32 {
-        self.limits[host]
-    }
-
     /// Highest concurrent occupancy any host ever reached.
     pub fn max_in_use(&self) -> u32 {
-        self.max_in_use.iter().copied().max().unwrap_or(0)
+        self.max_in_use
     }
 }
 
@@ -396,7 +367,7 @@ mod tests {
     }
 
     #[test]
-    fn slots_grant_until_the_limit_then_spill() {
+    fn slots_fill_to_the_limit_then_turn_busy() {
         let config = CapacityConfig {
             relay_slots_base: 1,
             relay_slots_per_capability: 2.0,
@@ -404,15 +375,17 @@ mod tests {
         };
         // capability 1.0 → 3 slots, capability 0.0 → 1 slot.
         let mut slots = RelaySlots::new(&config, [1.0, 0.0]);
-        assert_eq!(slots.limit(0), 3);
-        assert_eq!(slots.limit(1), 1);
         for _ in 0..3 {
-            assert_eq!(slots.try_acquire(0), SlotVerdict::Granted);
+            assert!(!slots.busy(0));
+            assert!(!slots.force_acquire(0), "within the limit");
         }
-        assert_eq!(slots.try_acquire(0), SlotVerdict::Busy);
-        assert_eq!(slots.in_use(0), 3);
+        assert!(slots.busy(0));
+        assert!(!slots.force_acquire(1));
+        assert!(slots.busy(1));
         slots.release(0);
-        assert_eq!(slots.try_acquire(0), SlotVerdict::Granted);
+        assert!(!slots.busy(0), "a released slot is free again");
+        assert!(!slots.force_acquire(0));
+        assert!(slots.busy(0));
     }
 
     #[test]
@@ -429,7 +402,8 @@ mod tests {
         slots.release(0);
         slots.release(0);
         slots.release(0); // over-release is a no-op
-        assert_eq!(slots.in_use(0), 0);
+        assert!(!slots.busy(0));
+        assert!(!slots.force_acquire(0), "every slot was returned");
         assert_eq!(slots.max_in_use(), 2, "high-water marks persist");
     }
 

@@ -34,7 +34,7 @@ pub mod king;
 pub mod membership;
 mod model;
 
-pub use capacity::{Admission, AdmissionQueue, CapacityConfig, RelaySlots, ShedCause, SlotVerdict};
+pub use capacity::{Admission, AdmissionQueue, CapacityConfig, RelaySlots, ShedCause};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultPlanConfig, MessageDrops, RetryPolicy};
 pub use membership::{MembershipView, SuspicionConfig, SuspicionDetector, Verdict};
 pub use model::{AsCondition, NetConfig, NetModel};
