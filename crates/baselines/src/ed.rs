@@ -9,6 +9,7 @@
 //! nodes to satisfy the VoIP quality requirements": disjointness is about
 //! *reliability*, not latency.
 
+use asap_cluster::Asn;
 use asap_telemetry::{LedgerScope, MessageKind};
 use asap_voip::QualityRequirement;
 use asap_workload::sessions::Session;
@@ -85,6 +86,11 @@ impl RelaySelector for EarliestDivergence {
         // One message per probed candidate, as in the seed accounting.
         self.scope
             .record(MessageKind::ProbeRequest, candidates.len() as u64);
+        let pop = &scenario.population;
+        let caller = pop.host(session.caller).asn;
+        // The direct path, walked at the first routable candidate and
+        // shared by all of them.
+        let mut direct: Option<Option<Vec<Asn>>> = None;
         for r in candidates {
             let Some(path) = eval_one_hop(scenario, session, r) else {
                 continue;
@@ -93,7 +99,12 @@ impl RelaySelector for EarliestDivergence {
             if requirement.rtt_ok(path.rtt_ms) {
                 out.quality_paths += 1;
             }
-            let shared = Self::shared_prefix_len(scenario, session, r);
+            let direct = direct
+                .get_or_insert_with(|| scenario.net.as_path(caller, pop.host(session.callee).asn));
+            let shared = match direct {
+                Some(direct) => shared_prefix(scenario, direct, caller, pop.host(r).asn),
+                None => 0,
+            };
             ranked.push((shared, path.rtt_ms, path));
         }
         // Earliest divergence first; RTT only breaks ties.
@@ -107,9 +118,24 @@ impl RelaySelector for EarliestDivergence {
     }
 }
 
+/// [`EarliestDivergence::shared_prefix_len`] given the direct path
+/// from `caller`: the leading ASes it shares with the route from
+/// `caller` to `relay`.
+fn shared_prefix(scenario: &Scenario, direct: &[Asn], caller: Asn, relay: Asn) -> usize {
+    let Some(via) = scenario.net.as_path(caller, relay) else {
+        return 0;
+    };
+    direct
+        .iter()
+        .zip(via.iter())
+        .take_while(|(a, b)| a == b)
+        .count()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{self, bits};
     use asap_workload::{Scenario, ScenarioConfig};
 
     fn scenario() -> Scenario {
@@ -130,6 +156,26 @@ mod tests {
         let (b, b_spent) = crate::selector::select_metered(&rand, &s, sess, &req);
         assert_eq!(a.quality_paths, b.quality_paths);
         assert_eq!(a_spent, b_spent);
+    }
+
+    #[test]
+    fn shared_direct_path_matches_the_per_candidate_reference() {
+        let req = QualityRequirement::default();
+        for scenario_seed in [64, 65] {
+            let s = Scenario::build(ScenarioConfig::tiny(), scenario_seed);
+            let hosts = s.population.hosts().len() as u32;
+            let ed = EarliestDivergence::new(60, 9);
+            for i in 0..30u32 {
+                let sess = Session {
+                    caller: HostId((i * 37) % hosts),
+                    callee: HostId((i * 101 + 7) % hosts),
+                };
+                let reference = reference::ed_select(60, 9, &s, sess, &req);
+                let fast = ed.select(&s, sess, &req);
+                let what = format!("seed {scenario_seed}, session {i}");
+                assert_eq!(bits(&fast), bits(&reference), "{what}");
+            }
+        }
     }
 
     #[test]

@@ -30,6 +30,8 @@ mod ed;
 mod mix;
 mod opt;
 mod rand_sel;
+#[cfg(test)]
+mod reference;
 mod selector;
 pub mod skype;
 

@@ -9,10 +9,6 @@ use asap_workload::{HostId, Scenario};
 
 use crate::selector::{RelayPath, RelaySelector, SelectionOutcome};
 
-/// The AS-level `(RTT, loss)` legs caller → AS and AS → callee, `None`
-/// where no policy route exists.
-type Legs = (Option<(f64, f64)>, Option<(f64, f64)>);
-
 /// The offline optimum of §7.1: "OPT always chooses relay nodes that give
 /// the shortest overlay routing latency. This is an offline method with
 /// all latency data on hand through one-hop and two-hop relay paths
@@ -68,6 +64,17 @@ impl RelaySelector for Opt {
         "OPT"
     }
 
+    /// One pass per AS group of [`Population::as_groups`]: the group's
+    /// two legs (caller → AS, AS → callee) cost one route query each,
+    /// and within a group the full legs and the one-hop RTT never
+    /// decrease along the group's `(access_ms, id)` order, since they
+    /// add the relay's access delay to fixed terms. So the quality-path
+    /// count is a `partition_point`, and the best one-hop path and the
+    /// two-hop candidate lists stop reading a group at the first host
+    /// past their bound. Ties go to the smaller `(value, HostId)`,
+    /// which is what a scan in host order with a strict `<` keeps.
+    ///
+    /// [`Population::as_groups`]: asap_workload::Population::as_groups
     fn select(
         &self,
         scenario: &Scenario,
@@ -77,66 +84,82 @@ impl RelaySelector for Opt {
         let pop = &scenario.population;
         let caller = pop.host(session.caller);
         let callee = pop.host(session.callee);
-
-        // Memoize the AS-level legs (caller → AS, AS → callee), as
-        // `(RTT, loss)`: relay legs only differ by the relay's AS and
-        // access delay. The memo is indexed by graph node, and the last
-        // host's AS is remembered, so consecutive hosts of one AS skip
-        // even the node lookup.
-        let graph = &scenario.internet.graph;
-        let legs_of = |asn: Asn| {
-            (
-                scenario.net.as_metrics(caller.asn, asn),
-                scenario.net.as_metrics(asn, callee.asn),
-            )
+        let is_endpoint = |id: HostId| id == session.caller || id == session.callee;
+        // The endpoints, once each: they sit in their AS groups but relay
+        // nothing.
+        let ends = [caller, callee];
+        let ends = if caller.id == callee.id {
+            &ends[..1]
+        } else {
+            &ends[..]
         };
-        let mut legs_by_node: Vec<Option<Legs>> = vec![None; graph.node_count()];
-        let mut last: Option<(Asn, Legs)> = None;
 
         let mut out = SelectionOutcome::default();
-        // (rtt, (host, leg loss)) heaps of the best per-side legs for
-        // two-hop pairing.
-        let mut best_from_a: Vec<(f64, (HostId, f64))> = Vec::new();
-        let mut best_to_b: Vec<(f64, (HostId, f64))> = Vec::new();
+        // The best one-hop path, and the best caller-side and callee-side
+        // legs for two-hop pairing.
+        let mut best = TopK::new(1);
+        let mut from_a = TopK::new(self.two_hop_candidates);
+        let mut to_b = TopK::new(self.two_hop_candidates);
 
-        for host in pop.hosts() {
-            if host.id == session.caller || host.id == session.callee {
+        for (asn, group) in pop.as_groups() {
+            let relays = group.len() - ends.iter().filter(|e| e.asn == asn).count();
+            if relays == 0 {
                 continue;
             }
-            let (a_leg, b_leg) = match last {
-                Some((asn, legs)) if asn == host.asn => legs,
-                _ => {
-                    let node = graph.index_of(host.asn).expect("hosts sit in graph ASes");
-                    let legs =
-                        *legs_by_node[node as usize].get_or_insert_with(|| legs_of(host.asn));
-                    last = Some((host.asn, legs));
-                    legs
-                }
-            };
-            let access = 2.0 * host.access_ms;
+            let a_leg = scenario.net.as_metrics(caller.asn, asn);
+            let b_leg = scenario.net.as_metrics(asn, callee.asn);
             let (Some((a_leg, la)), Some((b_leg, lb))) = (a_leg, b_leg) else {
                 continue;
             };
-            let a_full = a_leg + 2.0 * caller.access_ms + access;
-            let b_full = b_leg + access + 2.0 * callee.access_ms;
-            let rtt = a_full + b_full + RELAY_DELAY_RTT_MS;
             let loss = 1.0 - (1.0 - la) * (1.0 - lb);
-            out.consider_lazy(rtt, loss, || vec![host.id], requirement);
-            if self.two_hop_candidates > 0 {
-                push_best(
-                    &mut best_from_a,
-                    (a_full, (host.id, la)),
-                    self.two_hop_candidates,
-                );
-                push_best(
-                    &mut best_to_b,
-                    (b_full, (host.id, lb)),
-                    self.two_hop_candidates,
-                );
+            // `(a_full, b_full, rtt)` through relay `id` of this group.
+            let legs = |id: HostId| {
+                let access = 2.0 * pop.host(id).access_ms;
+                let a_full = a_leg + 2.0 * caller.access_ms + access;
+                let b_full = b_leg + access + 2.0 * callee.access_ms;
+                (a_full, b_full, a_full + b_full + RELAY_DELAY_RTT_MS)
+            };
+
+            out.probed_nodes += relays as u64;
+            let quality = group.partition_point(|&id| requirement.rtt_ok(legs(id).2));
+            let quality_endpoints = ends
+                .iter()
+                .filter(|e| e.asn == asn && requirement.rtt_ok(legs(e.id).2))
+                .count();
+            out.quality_paths += (quality - quality_endpoints) as u64;
+
+            for &id in group {
+                if is_endpoint(id) {
+                    continue;
+                }
+                let (a_full, b_full, rtt) = legs(id);
+                let mut admitted = false;
+                for (top, value, loss) in [
+                    (&mut best, rtt, loss),
+                    (&mut from_a, a_full, la),
+                    (&mut to_b, b_full, lb),
+                ] {
+                    if top.admits(value) {
+                        top.push(Ranked {
+                            value,
+                            relay: id,
+                            loss,
+                        });
+                        admitted = true;
+                    }
+                }
+                if !admitted {
+                    break;
+                }
             }
         }
 
-        pair_two_hop(scenario, &best_from_a, &best_to_b, &mut out);
+        out.best = best.items.first().map(|one| RelayPath {
+            relays: vec![one.relay],
+            rtt_ms: one.value,
+            loss: one.loss,
+        });
+        pair_two_hop(scenario, &from_a.items, &to_b.items, &mut out);
         out
     }
 
@@ -145,41 +168,98 @@ impl RelaySelector for Opt {
     }
 }
 
-/// The best caller-side and callee-side legs, `(full leg RTT, (relay,
-/// leg loss))`, kept for two-hop pairing.
-type BestLegs = [(f64, (HostId, f64))];
+/// A relay ranked by an RTT: a one-hop path's RTT, or a caller-side or
+/// callee-side leg's full RTT (access delays included), with that
+/// path's or leg's loss.
+struct Ranked {
+    value: f64,
+    relay: HostId,
+    loss: f64,
+}
+
+/// The `cap` smallest entries by `(value, relay)`, kept in that order.
+struct TopK {
+    cap: usize,
+    items: Vec<Ranked>,
+}
+
+impl TopK {
+    fn new(cap: usize) -> Self {
+        TopK {
+            cap,
+            items: Vec::with_capacity(cap + 1),
+        }
+    }
+
+    /// Whether an entry of `value` could enter the list: the list has
+    /// room, or `value` is at most its worst (a tie then goes by relay).
+    fn admits(&self, value: f64) -> bool {
+        self.items.len() < self.cap || self.items.last().is_some_and(|w| value <= w.value)
+    }
+
+    fn push(&mut self, entry: Ranked) {
+        let key = |r: &Ranked| (r.value, r.relay);
+        let at = self.items.partition_point(|r| key(r) < key(&entry));
+        if at < self.cap {
+            self.items.insert(at, entry);
+            self.items.truncate(self.cap);
+        }
+    }
+}
 
 /// Two-hop: pairs the best caller-side legs with the best callee-side
 /// legs, keeping a pair in `out` when it beats the best path so far.
+/// Pairs are visited caller-side major, in list order, and the middle
+/// leg is one route query per distinct `(AS, AS)` pair visited.
 fn pair_two_hop(
     scenario: &Scenario,
-    best_from_a: &BestLegs,
-    best_to_b: &BestLegs,
+    from_a: &[Ranked],
+    to_b: &[Ranked],
     out: &mut SelectionOutcome,
 ) {
     let pop = &scenario.population;
-    for &(a_full, (r1, l1)) in best_from_a {
-        for &(b_full, (r2, l3)) in best_to_b {
-            if r1 == r2 {
+    // Each list's relay ASes, numbered in order of first appearance.
+    let number = |legs: &[Ranked]| {
+        let mut ases: Vec<Asn> = Vec::new();
+        let slots: Vec<usize> = legs
+            .iter()
+            .map(|l| {
+                let asn = pop.host(l.relay).asn;
+                ases.iter().position(|&a| a == asn).unwrap_or_else(|| {
+                    ases.push(asn);
+                    ases.len() - 1
+                })
+            })
+            .collect();
+        (ases, slots)
+    };
+    let (a_ases, a_slots) = number(from_a);
+    let (b_ases, b_slots) = number(to_b);
+    let mut mids: Vec<Option<Option<(f64, f64)>>> = vec![None; a_ases.len() * b_ases.len()];
+    for (a, &i) in from_a.iter().zip(&a_slots) {
+        for (b, &j) in to_b.iter().zip(&b_slots) {
+            if a.relay == b.relay {
                 continue;
             }
-            let (h1, h2) = (pop.host(r1), pop.host(r2));
-            let Some((mid, l2)) = scenario.net.as_metrics(h1.asn, h2.asn) else {
+            let mid = *mids[i * b_ases.len() + j]
+                .get_or_insert_with(|| scenario.net.as_metrics(a_ases[i], b_ases[j]));
+            let Some((mid, l2)) = mid else {
                 continue;
             };
+            let (h1, h2) = (pop.host(a.relay), pop.host(b.relay));
             let mid_full = mid + 2.0 * h1.access_ms + 2.0 * h2.access_ms;
-            let rtt = a_full + mid_full + b_full + 2.0 * RELAY_DELAY_RTT_MS;
-            let loss = 1.0 - (1.0 - l1) * (1.0 - l2) * (1.0 - l3);
+            let rtt = a.value + mid_full + b.value + 2.0 * RELAY_DELAY_RTT_MS;
+            let loss = 1.0 - (1.0 - a.loss) * (1.0 - l2) * (1.0 - b.loss);
             // Two-hop paths are extra candidates for the shortest RTT;
             // they do not add to the quality-path count (Figs. 11/12
             // compare protocols, not the oracle).
             let better = match &out.best {
-                Some(b) => rtt < b.rtt_ms,
+                Some(best) => rtt < best.rtt_ms,
                 None => true,
             };
             if better {
                 out.best = Some(RelayPath {
-                    relays: vec![r1, r2],
+                    relays: vec![a.relay, b.relay],
                     rtt_ms: rtt,
                     loss,
                 });
@@ -188,29 +268,10 @@ fn pair_two_hop(
     }
 }
 
-/// Keeps the `cap` smallest entries (by RTT) in `heap`.
-fn push_best<T>(heap: &mut Vec<(f64, T)>, entry: (f64, T), cap: usize) {
-    if heap.len() < cap {
-        heap.push(entry);
-        if heap.len() == cap {
-            heap.sort_by(|a, b| a.0.total_cmp(&b.0));
-        }
-        return;
-    }
-    // Heap is full and sorted: replace the worst if better.
-    if entry.0 < heap[cap - 1].0 {
-        heap[cap - 1] = entry;
-        let mut i = cap - 1;
-        while i > 0 && heap[i].0 < heap[i - 1].0 {
-            heap.swap(i, i - 1);
-            i -= 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{self, bits};
     use asap_workload::ScenarioConfig;
 
     #[test]
@@ -282,111 +343,122 @@ mod tests {
         assert_eq!(spent, 0);
     }
 
-    /// OPT's one-hop scan in its plain form: per-select `HashMap<Asn, _>`
-    /// leg caches and a `RelayPath` per host. The reference for
-    /// `dense_scan_matches_the_hash_map_reference`.
-    fn reference_select(
-        opt: &Opt,
-        scenario: &Scenario,
-        session: Session,
-        requirement: &QualityRequirement,
-    ) -> SelectionOutcome {
-        use std::collections::HashMap;
-
-        let pop = &scenario.population;
-        let caller = pop.host(session.caller);
-        let callee = pop.host(session.callee);
-        let mut leg_a: HashMap<Asn, Option<(f64, f64)>> = HashMap::new();
-        let mut leg_b: HashMap<Asn, Option<(f64, f64)>> = HashMap::new();
-        let mut out = SelectionOutcome::default();
-        let mut best_from_a: Vec<(f64, (HostId, f64))> = Vec::new();
-        let mut best_to_b: Vec<(f64, (HostId, f64))> = Vec::new();
-        for host in pop.hosts() {
-            if host.id == session.caller || host.id == session.callee {
-                continue;
-            }
-            let a_leg = *leg_a
-                .entry(host.asn)
-                .or_insert_with(|| scenario.net.as_metrics(caller.asn, host.asn));
-            let b_leg = *leg_b
-                .entry(host.asn)
-                .or_insert_with(|| scenario.net.as_metrics(host.asn, callee.asn));
-            let access = 2.0 * host.access_ms;
-            let (Some((a_leg, la)), Some((b_leg, lb))) = (a_leg, b_leg) else {
-                continue;
-            };
-            let a_full = a_leg + 2.0 * caller.access_ms + access;
-            let b_full = b_leg + access + 2.0 * callee.access_ms;
-            let rtt = a_full + b_full + RELAY_DELAY_RTT_MS;
-            let loss = 1.0 - (1.0 - la) * (1.0 - lb);
-            out.consider(
-                RelayPath {
-                    relays: vec![host.id],
-                    rtt_ms: rtt,
-                    loss,
-                },
-                requirement,
-            );
-            if opt.two_hop_candidates > 0 {
-                let cap = opt.two_hop_candidates;
-                push_best(&mut best_from_a, (a_full, (host.id, la)), cap);
-                push_best(&mut best_to_b, (b_full, (host.id, lb)), cap);
-            }
-        }
-        pair_two_hop(scenario, &best_from_a, &best_to_b, &mut out);
-        out
-    }
-
+    /// OPT against its host-order reference, bit for bit, on tiny scale
+    /// and on a 5,000-host world (tiny has few host ASes, so its AS
+    /// groups are small), at two-hop bounds 0, 1, 4, 32 and 64: random
+    /// sessions, sessions inside one AS, then a session a two-hop path
+    /// wins once the transit ASes of its direct route are congested.
+    /// OPT asks each route query once per select: two legs per AS
+    /// holding a relay, and one middle leg per distinct AS pair the
+    /// pairing visits (intra-AS legs are no queries).
     #[test]
     fn dense_scan_matches_the_hash_map_reference() {
-        // Each side runs on its own scenario, so both start from a cold
-        // route cache and the per-select hit/miss deltas are comparable.
-        let fast_world = Scenario::build(ScenarioConfig::tiny(), 5);
-        let ref_world = Scenario::build(ScenarioConfig::tiny(), 5);
-        let hosts = fast_world.population.hosts().len() as u32;
         let req = QualityRequirement::default();
-        let bits = |out: &SelectionOutcome| {
-            let best = out.best.as_ref();
-            (
-                best.map(|b| b.relays.clone()),
-                best.map(|b| (b.rtt_ms.to_bits(), b.loss.to_bits())),
-                out.probed_nodes,
-                out.quality_paths,
-            )
+        let check = |world: &Scenario, session: Session, what: &str| {
+            let mut two_hop_wins = 0;
+            for candidates in [0, 1, 4, 32, 64] {
+                let opt = Opt::new().with_two_hop_candidates(candidates);
+                let (reference, queries) = reference::opt_select(candidates, world, session, &req);
+                let before = world.net.route_cache_stats();
+                let fast = opt.select(world, session, &req);
+                let after = world.net.route_cache_stats();
+                let what = format!("{what}, {candidates} candidates");
+                assert_eq!(bits(&fast), bits(&reference), "{what}");
+                let asked = (after.0 - before.0) + (after.1 - before.1);
+                assert_eq!(asked, queries, "route queries of {what}");
+                two_hop_wins += usize::from(fast.best.is_some_and(|b| b.relays.len() == 2));
+            }
+            two_hop_wins
         };
-        for (i, candidates) in (0..50u32).zip([32, 0, 4].into_iter().cycle()) {
-            let session = Session {
-                caller: HostId((i * 37) % hosts),
-                callee: HostId((i * 101 + 7) % hosts),
-            };
-            let opt = Opt::new().with_two_hop_candidates(candidates);
-            let before = (
-                fast_world.net.route_cache_stats(),
-                ref_world.net.route_cache_stats(),
-            );
-            let fast = opt.select(&fast_world, session, &req);
-            let reference = reference_select(&opt, &ref_world, session, &req);
-            let after = (
-                fast_world.net.route_cache_stats(),
-                ref_world.net.route_cache_stats(),
-            );
-            assert_eq!(bits(&fast), bits(&reference), "session {i}");
-            let delta = |a: (u64, u64), b: (u64, u64)| (a.0 - b.0, a.1 - b.1);
-            assert_eq!(
-                delta(after.0, before.0),
-                delta(after.1, before.1),
-                "route queries of session {i}"
-            );
+        let mut wide = ScenarioConfig::tiny();
+        wide.population.target_hosts = 5_000;
+        for (name, config, seed) in [("tiny", ScenarioConfig::tiny(), 5), ("5k", wide, 6)] {
+            let mut world = Scenario::build(config, seed);
+            let pop = &world.population;
+            let hosts = pop.hosts().len() as u32;
+            let mut sessions: Vec<Session> = (0..40u32)
+                .map(|i| Session {
+                    caller: HostId((i * 37) % hosts),
+                    callee: HostId((i * 101 + 7) % hosts),
+                })
+                .collect();
+            // Caller and callee in one AS: that group loses two relays.
+            let shared = pop.as_groups().filter(|(_, g)| g.len() > 2).take(3);
+            sessions.extend(shared.map(|(_, group)| Session {
+                caller: group[0],
+                callee: group[group.len() - 1],
+            }));
+            for (i, &session) in sessions.iter().enumerate() {
+                check(&world, session, &format!("{name} session {i}"));
+            }
+            let session = jam_a_two_hop_win(&mut world);
+            let wins = check(&world, session, &format!("{name} two-hop session"));
+            assert!(wins > 0, "{name}: no two-hop win");
         }
     }
 
-    #[test]
-    fn push_best_keeps_smallest() {
-        let mut heap = Vec::new();
-        for (i, v) in [5.0, 1.0, 9.0, 3.0, 7.0, 2.0].iter().enumerate() {
-            push_best(&mut heap, (*v, HostId(i as u32)), 3);
+    /// Congests the transit ASes of the direct route of the first
+    /// session, between the first hosts of two AS groups, that OPT then
+    /// answers with a two-hop path, and returns that session.
+    fn jam_a_two_hop_win(world: &mut Scenario) -> Session {
+        let req = QualityRequirement::default();
+        let firsts: Vec<(Asn, HostId)> = world
+            .population
+            .as_groups()
+            .map(|(asn, group)| (asn, group[0]))
+            .collect();
+        for &(c, caller) in &firsts {
+            for &(d, callee) in &firsts {
+                let Some(path) = world.net.as_path(c, d).filter(|p| p.len() > 2) else {
+                    continue;
+                };
+                let transit = &path[1..path.len() - 1];
+                for &t in transit {
+                    world.apply_as_congestion(t, 2_000.0, 0.0);
+                }
+                let session = Session { caller, callee };
+                let best = Opt::new().select(world, session, &req).best;
+                if best.is_some_and(|b| b.relays.len() == 2) {
+                    return session;
+                }
+                for &t in transit {
+                    world.clear_as_condition(t);
+                }
+            }
         }
-        let vals: Vec<f64> = heap.iter().map(|e| e.0).collect();
-        assert_eq!(vals, vec![1.0, 2.0, 3.0]);
+        panic!("no congested direct route makes a two-hop path win");
+    }
+
+    #[test]
+    fn top_k_orders_by_value_then_relay() {
+        // Duplicate values, offered in host order and in reverse.
+        let values = [5.0, 1.0, 3.0, 1.0, 9.0, 3.0, 2.0, 3.0, 1.0, 7.0, 3.0, 2.0];
+        for cap in [1, 3, 5, 8, 12] {
+            let mut heap = Vec::new();
+            for (i, &v) in values.iter().enumerate() {
+                reference::push_best(&mut heap, (v, HostId(i as u32)), cap);
+            }
+            let expected: Vec<(f64, HostId)> = heap.iter().map(|&(v, id)| (v, id)).collect();
+            for order in [false, true] {
+                let mut top = TopK::new(cap);
+                let mut offer = |i: usize| {
+                    if top.admits(values[i]) {
+                        top.push(Ranked {
+                            value: values[i],
+                            relay: HostId(i as u32),
+                            loss: 0.0,
+                        });
+                    }
+                };
+                if order {
+                    (0..values.len()).rev().for_each(&mut offer);
+                } else {
+                    (0..values.len()).for_each(&mut offer);
+                }
+                let got: Vec<(f64, HostId)> =
+                    top.items.iter().map(|r| (r.value, r.relay)).collect();
+                assert_eq!(got, expected, "cap {cap}, reversed {order}");
+            }
+        }
     }
 }

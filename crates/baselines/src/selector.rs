@@ -39,39 +39,7 @@ impl SelectionOutcome {
     /// Records a candidate path: counts it if it meets the requirement and
     /// keeps it if it is the best so far.
     pub fn consider(&mut self, path: RelayPath, requirement: &QualityRequirement) {
-        let RelayPath {
-            relays,
-            rtt_ms,
-            loss,
-        } = path;
-        self.consider_lazy(rtt_ms, loss, || relays, requirement);
-    }
-
-    /// [`consider`](Self::consider) for a path given by its parts: the
-    /// relay list is built (and the path allocated) only when the path
-    /// is the new best.
-    pub fn consider_lazy(
-        &mut self,
-        rtt_ms: f64,
-        loss: f64,
-        relays: impl FnOnce() -> Vec<HostId>,
-        requirement: &QualityRequirement,
-    ) {
-        self.probed_nodes += 1;
-        if requirement.rtt_ok(rtt_ms) {
-            self.quality_paths += 1;
-        }
-        let better = match &self.best {
-            Some(b) => rtt_ms < b.rtt_ms,
-            None => true,
-        };
-        if better {
-            self.best = Some(RelayPath {
-                relays: relays(),
-                rtt_ms,
-                loss,
-            });
-        }
+        self.consider_weighted(path, 1, requirement);
     }
 
     /// Like [`consider`](Self::consider) but with an explicit quality-path

@@ -3,6 +3,7 @@
 use asap_cluster::{Asn, ClusterLevel, Clustering, Ip, Prefix, PrefixTable};
 use asap_rng::{SliceRandom, StdRng};
 use asap_topology::SyntheticInternet;
+use std::sync::OnceLock;
 
 /// Dense identifier of a host within one [`Population`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -100,6 +101,18 @@ pub struct Population {
     announcements: Vec<(Prefix, Asn)>,
     prefix_table: PrefixTable,
     clustering: Clustering,
+    /// Derived from `hosts` on first use.
+    as_groups: OnceLock<AsGroups>,
+}
+
+/// The hosts grouped by AS, as [`Population::as_groups`] lists them, in
+/// one flat list rather than a `Vec` per AS.
+#[derive(Debug, Clone)]
+struct AsGroups {
+    /// Each group's AS and the end of its run in `hosts`.
+    ends: Vec<(Asn, usize)>,
+    /// Every host id, group by group.
+    hosts: Vec<HostId>,
 }
 
 impl Population {
@@ -179,6 +192,7 @@ impl Population {
             announcements,
             prefix_table,
             clustering,
+            as_groups: OnceLock::new(),
         }
     }
 
@@ -194,6 +208,42 @@ impl Population {
     /// Panics if `id` is out of range.
     pub fn host(&self, id: HostId) -> &Host {
         &self.hosts[id.0 as usize]
+    }
+
+    /// The hosts grouped by AS: one `(AS, hosts)` entry per AS that
+    /// holds a host, in order of each AS's first host, and each group's
+    /// hosts ordered by `(access_ms, id)`. An AS's hosts need not be
+    /// contiguous in [`Population::hosts`]. Derived on first use.
+    pub fn as_groups(&self) -> impl Iterator<Item = (Asn, &[HostId])> {
+        let AsGroups { ends, hosts } = self.as_groups.get_or_init(|| {
+            let mut slot: std::collections::HashMap<Asn, usize> = std::collections::HashMap::new();
+            let mut ends: Vec<(Asn, usize)> = Vec::new();
+            let group: Vec<usize> = (self.hosts.iter())
+                .map(|h| {
+                    *slot.entry(h.asn).or_insert_with(|| {
+                        ends.push((h.asn, 0));
+                        ends.len() - 1
+                    })
+                })
+                .collect();
+            for &g in &group {
+                ends[g].1 += 1;
+            }
+            let mut end = 0;
+            for (_, e) in &mut ends {
+                end += *e;
+                *e = end;
+            }
+            let mut hosts: Vec<HostId> = self.hosts.iter().map(|h| h.id).collect();
+            hosts.sort_by(|&a, &b| {
+                let key = |id: HostId| (group[id.0 as usize], self.host(id).access_ms);
+                let ((ga, aa), (gb, ab)) = (key(a), key(b));
+                ga.cmp(&gb).then(aa.total_cmp(&ab)).then(a.cmp(&b))
+            });
+            AsGroups { ends, hosts }
+        });
+        let starts = std::iter::once(0).chain(ends.iter().map(|&(_, end)| end));
+        (ends.iter().zip(starts)).map(|(&(asn, end), start)| (asn, &hosts[start..end]))
     }
 
     /// The host owning `ip`, if any.
@@ -336,6 +386,41 @@ mod tests {
             cpu_score: 0.1,
         };
         assert!(strong.capability() > weak.capability());
+    }
+
+    #[test]
+    fn as_groups_cover_every_host_once_sorted_by_access() {
+        let net = InternetGenerator::new(InternetConfig::tiny(), 1).generate();
+        // Enough hosts that the draw wraps around the stub ASes.
+        let pop = Population::generate(
+            &net,
+            &PopulationConfig {
+                target_hosts: 20_000,
+                ..Default::default()
+            },
+        );
+        let mut seen = vec![0u32; pop.hosts().len()];
+        let mut ases = std::collections::HashSet::new();
+        for (asn, group) in pop.as_groups() {
+            assert!(ases.insert(asn), "{asn} has two groups");
+            assert!(!group.is_empty());
+            for &id in group {
+                assert_eq!(pop.host(id).asn, asn);
+                seen[id.0 as usize] += 1;
+            }
+            let key = |id: HostId| (pop.host(id).access_ms, id);
+            assert!(group.windows(2).all(|w| key(w[0]) < key(w[1])));
+        }
+        assert!(seen.iter().all(|&n| n == 1));
+        // The draw cycles through the stub ASes, so some AS's hosts are
+        // not contiguous: the grouping must not assume they are.
+        let runs = pop
+            .hosts()
+            .windows(2)
+            .filter(|w| w[0].asn != w[1].asn)
+            .count()
+            + 1;
+        assert!(runs > ases.len(), "{runs} runs over {} ASes", ases.len());
     }
 
     #[test]
