@@ -32,6 +32,7 @@ pub mod events;
 pub mod faults;
 pub mod king;
 pub mod membership;
+mod memo;
 mod model;
 
 pub use capacity::{Admission, AdmissionQueue, CapacityConfig, RelaySlots, ShedCause};

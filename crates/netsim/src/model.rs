@@ -1,10 +1,13 @@
 //! The AS-level latency and loss model.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use asap_cluster::Asn;
 use asap_topology::routing::BgpRouter;
 use asap_topology::{AsTier, SyntheticInternet};
+
+use crate::memo::RouteMemo;
 
 /// Health of an AS during the simulated period.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,8 +104,10 @@ impl Default for NetConfig {
 /// routing tree is built once behind its own `OnceLock`, and a route
 /// query walks that tree by node index, reading coordinates, tiers and
 /// AS conditions by index, so it allocates nothing and hashes only its
-/// two endpoints. AS conditions are read at query time, so
-/// [`NetModel::set_condition`] needs no cache invalidation.
+/// two endpoints. The answer is then memoized by ordered AS pair, so a
+/// repeat query reads two slot indices and one table entry instead of
+/// walking. [`NetModel::set_condition`], the one way to change an
+/// answer, drops that memo; the trees never change.
 ///
 /// ```
 /// use asap_netsim::{NetConfig, NetModel};
@@ -122,6 +127,10 @@ pub struct NetModel {
     seed: u64,
     conditions: Vec<AsCondition>,
     router: BgpRouter,
+    /// Route-query answers by ordered AS pair, filled by the tree walk.
+    memo: RouteMemo,
+    /// Queries answered from `memo`, each a route-cache hit.
+    memo_hits: AtomicU64,
 }
 
 impl NetModel {
@@ -160,6 +169,8 @@ impl NetModel {
             seed,
             conditions,
             router,
+            memo: RouteMemo::new(n),
+            memo_hits: AtomicU64::new(0),
         }
     }
 
@@ -181,7 +192,8 @@ impl NetModel {
         }
     }
 
-    /// Overrides the health of `asn` (failure injection in tests).
+    /// Overrides the health of `asn` (failure injection in tests), and
+    /// drops every memoized route answer.
     ///
     /// # Panics
     ///
@@ -189,6 +201,7 @@ impl NetModel {
     pub fn set_condition(&mut self, asn: Asn, condition: AsCondition) {
         let i = self.internet.graph.index_of(asn).expect("AS not in graph") as usize;
         self.conditions[i] = condition;
+        self.memo = RouteMemo::new(self.conditions.len());
     }
 
     /// The BGP policy AS path from `a` to `b`, if routable.
@@ -207,12 +220,14 @@ impl NetModel {
         self.router.as_hops(&self.internet.graph, a, b)
     }
 
-    /// `(hits, misses)` of the underlying routing-tree cache: a miss
-    /// computes a full per-destination BGP tree, a hit reuses it. Every
-    /// route query between two distinct ASes counts once, a fused
-    /// [`NetModel::as_metrics`] query included.
+    /// `(hits, misses)` of the route cache: a miss computes a full
+    /// per-destination BGP tree, a hit reuses a tree or answers from the
+    /// AS-pair memo. Every route query between two distinct ASes counts
+    /// once, a fused [`NetModel::as_metrics`] query included, so the
+    /// counts do not depend on whether the memo answered.
     pub fn route_cache_stats(&self) -> (u64, u64) {
-        self.router.cache_stats()
+        let (hits, misses) = self.router.cache_stats();
+        (hits + self.memo_hits.load(Ordering::Relaxed), misses)
     }
 
     /// Round-trip time in milliseconds between (the delegate routers of)
@@ -242,17 +257,34 @@ impl NetModel {
 
     /// [`NetModel::as_metrics`] between two graph node indices, without
     /// hashing either AS number. Bit-equal to `as_metrics` of their
-    /// ASes.
+    /// ASes. The first query of an ordered pair walks its route; later
+    /// ones read the memoized answer.
     ///
     /// # Panics
     ///
     /// Panics if either index is not a node index of the model's graph.
     pub fn as_metrics_idx(&self, src: u32, dest: u32) -> Option<(f64, f64)> {
+        if src == dest {
+            let a = self.internet.graph.asn_at(src);
+            return Some((self.intra_as_rtt_ms(a), self.base_pair_loss(a, a)));
+        }
+        let Some(entry) = self.memo.entry(src, dest) else {
+            return self.walk(src, dest);
+        };
+        if let Some(answer) = entry.get() {
+            self.memo_hits.fetch_add(1, Ordering::Relaxed);
+            return answer;
+        }
+        let answer = self.walk(src, dest);
+        entry.set(answer);
+        answer
+    }
+
+    /// Walks the policy route from `src` to `dest` (distinct node
+    /// indices) and sums its RTT and loss terms.
+    fn walk(&self, src: u32, dest: u32) -> Option<(f64, f64)> {
         let graph = &self.internet.graph;
         let (a, b) = (graph.asn_at(src), graph.asn_at(dest));
-        if src == dest {
-            return Some((self.intra_as_rtt_ms(a), self.base_pair_loss(a, b)));
-        }
         let tree = self.router.tree_idx(graph, dest);
         if !tree.routable_idx(src) {
             return None;
@@ -603,7 +635,8 @@ mod tests {
             .filter(|&&a| matches!(m.condition(a), AsCondition::Congested { .. }))
             .count() as f64;
         let frac = congested / n;
-        // Defaults: 12% of tier-1s, 1.2% of transits, 0.1% of stubs.
+        // Defaults: no tier-1 is ever congested, 0.8% of transits and
+        // 0.1% of stubs are (core links congest separately, per link).
         assert!((0.0005..0.02).contains(&frac), "congested fraction {frac}");
     }
 }

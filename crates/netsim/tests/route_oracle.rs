@@ -1,18 +1,22 @@
-//! Differential oracle for the index-walk route queries.
+//! Differential oracle for the index-walk route queries and their memo.
 //!
 //! `as_rtt_ms`, `as_loss`, `as_metrics` and `as_metrics_idx` walk the
-//! cached routing tree by node index. `path_rtt_ms` and `path_loss` over
-//! the materialised `as_path` are the plain reference: every float must
-//! be bit-equal to theirs, under any AS conditions, and from any number
-//! of threads.
+//! cached routing tree by node index the first time a pair is asked, and
+//! answer repeats from an AS-pair memo. `path_rtt_ms` and `path_loss`
+//! over the materialised `as_path` are the plain reference, and a fresh
+//! model's first answer is the memo's: every float must be bit-equal to
+//! both, under any AS conditions, and from any number of threads.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 use asap_cluster::Asn;
 use asap_netsim::{AsCondition, NetConfig, NetModel};
-use asap_topology::{InternetConfig, InternetGenerator};
+use asap_topology::{
+    AsGraph, AsTier, EdgeKind, InternetConfig, InternetGenerator, SyntheticInternet,
+};
+use asap_workload::{Scenario, ScenarioConfig};
 
 fn model(seed: u64) -> NetModel {
     model_with(seed, NetConfig::default())
@@ -196,4 +200,184 @@ fn threads_sharing_one_model_agree_with_a_single_thread() {
     );
     let routed = pairs.iter().filter(|(a, b)| a != b).count() as u64;
     assert_eq!(hits + misses, 2 * routed);
+}
+
+/// Every ordered pair of `asns`, each asked once, in pair order.
+fn ask_all(m: &NetModel, asns: &[Asn]) -> Vec<Option<(u64, u64)>> {
+    asns.iter()
+        .flat_map(|&a| asns.iter().map(move |&b| bits(m.as_metrics(a, b))))
+        .collect()
+}
+
+/// A hand-built world: 3 — 2 — 1 peer in a row and 4 is a customer of 1,
+/// so 3 reaches neither 1 nor 4, and 1 and 4 do not reach 3.
+fn peering_chain() -> NetModel {
+    let mut graph = AsGraph::new();
+    graph.add_edge(Asn(3), Asn(2), EdgeKind::PeerToPeer);
+    graph.add_edge(Asn(2), Asn(1), EdgeKind::PeerToPeer);
+    graph.add_edge(Asn(1), Asn(4), EdgeKind::ProviderToCustomer);
+    let n = graph.node_count();
+    let internet = SyntheticInternet {
+        graph,
+        tiers: vec![AsTier::Transit; n],
+        coords: (0..n).map(|i| (10.0 * i as f64, 5.0)).collect(),
+    };
+    NetModel::new(Arc::new(internet), NetConfig::default(), 3)
+}
+
+#[test]
+fn unroutable_pairs_answer_none_cold_and_warm() {
+    let m = peering_chain();
+    let unroutable = [(3, 1), (1, 3), (3, 4), (4, 3)].map(|(a, b)| (Asn(a), Asn(b)));
+    for (a, b) in unroutable {
+        let (hits, misses) = m.route_cache_stats();
+        assert_eq!(m.as_metrics(a, b), None, "cold {a} -> {b}");
+        let cold = m.route_cache_stats();
+        assert_eq!(
+            cold.0 + cold.1,
+            hits + misses + 1,
+            "a cold query is one lookup"
+        );
+        assert_eq!(m.as_metrics(a, b), None, "warm {a} -> {b}");
+        assert_eq!(
+            m.route_cache_stats(),
+            (cold.0 + 1, cold.1),
+            "a warm None is a hit"
+        );
+        assert_eq!(m.as_path(a, b), None, "the reference routes {a} -> {b}");
+    }
+    // Routable pairs of the same world still answer, cold and warm.
+    for (a, b) in [(3, 2), (2, 4), (4, 2)].map(|(a, b)| (Asn(a), Asn(b))) {
+        let path = m.as_path(a, b).expect("routable");
+        let reference = Some((m.path_rtt_ms(&path), m.path_loss(&path)));
+        assert_eq!(bits(m.as_metrics(a, b)), bits(reference), "cold {a} -> {b}");
+        assert_eq!(bits(m.as_metrics(a, b)), bits(reference), "warm {a} -> {b}");
+    }
+}
+
+#[test]
+fn repeat_queries_match_a_fresh_model_before_and_after_set_condition() {
+    let config = NetConfig {
+        congestion_prob_core_link: 0.3,
+        congestion_prob_transit: 0.2,
+        ..NetConfig::default()
+    };
+    let mut m = model_with(9, config.clone());
+    let asns = m.internet().graph.asns().to_vec();
+    let distinct = (asns.len() * (asns.len() - 1)) as u64;
+    let fresh = ask_all(&model_with(9, config.clone()), &asns);
+    assert_eq!(ask_all(&m, &asns), fresh, "cold");
+    let cold = m.route_cache_stats();
+    assert_eq!(ask_all(&m, &asns), fresh, "warm");
+    assert_eq!(m.route_cache_stats(), (cold.0 + distinct, cold.1));
+
+    // Congest one AS and fail another on the longest route: the memo must
+    // not keep an answer from before either change.
+    let path = asns
+        .iter()
+        .flat_map(|&a| asns.iter().map(move |&b| (a, b)))
+        .filter_map(|(a, b)| m.as_path(a, b))
+        .max_by_key(Vec::len)
+        .expect("some route");
+    let (congested, failed) = (path[1], path[path.len() - 2]);
+    let changes = [
+        (
+            congested,
+            AsCondition::Congested {
+                added_rtt_ms: 120.0,
+                added_loss: 0.02,
+            },
+        ),
+        (failed, AsCondition::Failed),
+    ];
+    let saved = changes.map(|(asn, _)| (asn, m.condition(asn)));
+    let mut last = fresh.clone();
+    for k in 1..=changes.len() {
+        let (asn, condition) = changes[k - 1];
+        m.set_condition(asn, condition);
+        let mut reference = model_with(9, config.clone());
+        for (asn, condition) in &changes[..k] {
+            reference.set_condition(*asn, *condition);
+        }
+        let fresh_changed = ask_all(&reference, &asns);
+        assert_ne!(fresh_changed, last, "change {k} moved no answer");
+        assert_eq!(ask_all(&m, &asns), fresh_changed, "cold after change {k}");
+        assert_eq!(ask_all(&m, &asns), fresh_changed, "warm after change {k}");
+        last = fresh_changed;
+    }
+
+    for (asn, condition) in saved {
+        m.set_condition(asn, condition);
+    }
+    assert_eq!(ask_all(&m, &asns), fresh, "healing restores every answer");
+    assert_eq!(ask_all(&m, &asns), fresh, "warm after healing");
+    // Conditions never rebuild a tree.
+    assert_eq!(m.route_cache_stats().1, cold.1);
+}
+
+#[test]
+fn four_threads_racing_first_touches_agree_with_one_thread() {
+    // The tiny world has 143 ASes, one short of a whole number of tiles,
+    // so a slot that racing first touches burn can push the last ASes
+    // past the directory, where queries fall back to the walk.
+    let asns = model(10).internet().graph.asns().to_vec();
+    let run = |m: &NetModel| [ask_all(m, &asns), ask_all(m, &asns)];
+
+    let single = model(10);
+    let expected = run(&single);
+    for _ in 1..4 {
+        assert_eq!(run(&single), expected);
+    }
+    let shared = model(10);
+    let start = Barrier::new(4);
+    let answers: Vec<_> = thread::scope(|s| {
+        let workers: Vec<_> = (0..4)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    run(&shared)
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    for answer in answers {
+        assert_eq!(answer, expected);
+    }
+    assert_eq!(shared.route_cache_stats(), single.route_cache_stats());
+}
+
+/// Every ordered pair of the eval world's endpoint ASes, cold and warm,
+/// against the path reference. A few seconds in release: run it with
+/// `cargo test --release -p asap-netsim -- --ignored`.
+#[test]
+#[ignore = "eval scale: run in release with --ignored"]
+fn eval_scale_endpoint_pairs_match_the_path_reference() {
+    let scenario = Scenario::build(ScenarioConfig::eval_scale(), 1);
+    let net = &scenario.net;
+    let ases: Vec<Asn> = scenario
+        .population
+        .as_groups()
+        .map(|(asn, _)| asn)
+        .collect();
+    assert_eq!(ases.len(), 330);
+    assert_eq!(net.route_cache_stats(), (0, 0), "the model starts cold");
+    let cold = ask_all(net, &ases);
+    let after_cold = net.route_cache_stats();
+    assert_eq!(after_cold.1, ases.len() as u64, "one tree per endpoint AS");
+    assert_eq!(ask_all(net, &ases), cold, "warm");
+    let distinct = (ases.len() * (ases.len() - 1)) as u64;
+    assert_eq!(
+        net.route_cache_stats(),
+        (after_cold.0 + distinct, after_cold.1)
+    );
+    let pairs = ases.iter().flat_map(|&a| ases.iter().map(move |&b| (a, b)));
+    for ((a, b), answer) in pairs.zip(&cold) {
+        if a != b {
+            let reference = net
+                .as_path(a, b)
+                .map(|path| (net.path_rtt_ms(&path), net.path_loss(&path)));
+            assert_eq!(*answer, bits(reference), "{a} -> {b}");
+        }
+    }
 }

@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
 use asap_cluster::Asn;
@@ -82,6 +83,32 @@ impl NeighborSlices {
     }
 }
 
+/// Hashes an AS number with one multiply and a fold, instead of SipHash.
+///
+/// The `Asn → index` map is the only user. Its keys are not adversarial,
+/// and it is never iterated, so nothing observes its order. The fold
+/// brings the product's well-mixed high half into the low bits the table
+/// indexes by, so ASNs that agree in their low bits still spread.
+#[derive(Debug, Clone, Copy, Default)]
+struct AsnHasher(u64);
+
+impl Hasher for AsnHasher {
+    fn finish(&self) -> u64 {
+        let h = self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^ (h >> 32)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = self.0.rotate_left(32) ^ u64::from(n);
+    }
+}
+
 /// The adjacency split by the direction a route can use each edge.
 /// Sibling links go both up and down.
 #[derive(Debug, Clone, Default)]
@@ -112,7 +139,7 @@ struct KindSplit {
 #[derive(Debug, Clone, Default)]
 pub struct AsGraph {
     asns: Vec<Asn>,
-    index: HashMap<Asn, NodeIdx>,
+    index: HashMap<Asn, NodeIdx, BuildHasherDefault<AsnHasher>>,
     adj: Vec<Vec<(NodeIdx, EdgeKind)>>,
     edge_count: usize,
     /// Derived from `adj` on first use; every mutation resets it.
@@ -371,6 +398,23 @@ mod tests {
         assert_eq!(g.degree(Asn(5)), 0);
         assert_eq!(g.edge_kind(Asn(5), Asn(6)), None);
         assert!(g.neighbors(Asn(5)).is_empty());
+    }
+
+    #[test]
+    fn index_round_trips_asns_that_collide_in_the_low_bits() {
+        let mut asns: Vec<Asn> = (0..512u32).map(|k| Asn(k << 16)).collect();
+        asns.extend([Asn(u32::MAX), Asn(u32::MAX - 1), Asn(1)]);
+        let mut g = AsGraph::new();
+        for &asn in &asns {
+            g.add_node(asn);
+        }
+        assert_eq!(g.node_count(), asns.len());
+        for (i, &asn) in (0u32..).zip(&asns) {
+            assert_eq!(g.index_of(asn), Some(i), "{asn}");
+            assert_eq!(g.asn_at(i), asn);
+        }
+        assert_eq!(g.index_of(Asn(1 << 15)), None);
+        assert_eq!(g.index_of(Asn(2)), None);
     }
 
     #[test]

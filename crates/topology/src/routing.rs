@@ -37,14 +37,25 @@ pub enum RouteClass {
 const NO_ROUTE: u32 = u32::MAX;
 
 /// All routes towards one destination AS: for every source AS, the next
-/// hop, the route class, and the AS-hop count.
+/// hop, and on demand the route class and the AS-hop count.
+///
+/// A route walk reads only the next hops, so a tree keeps only those.
+/// The first [`RoutingTree::class_from`] or [`RoutingTree::hops_from`]
+/// call re-runs this destination's propagation to fill the other two
+/// (a fill that [`BgpRouter::cache_stats`] does not count).
 #[derive(Debug, Clone)]
 pub struct RoutingTree {
     dest: Asn,
     dest_idx: u32,
     /// Per node index: next hop towards the destination (NO_ROUTE if
-    /// unreachable), route class, hops.
+    /// unreachable).
     next_hop: Vec<u32>,
+    detail: OnceLock<RouteDetail>,
+}
+
+/// Per node index: the route class and hop count of a [`RoutingTree`].
+#[derive(Debug, Clone)]
+struct RouteDetail {
     class: Vec<RouteClass>,
     hops: Vec<u8>,
 }
@@ -84,7 +95,7 @@ impl RoutingTree {
             return Some(0);
         }
         self.next_hop_idx(i)?;
-        Some(self.hops[i as usize] as usize)
+        Some(self.detail(graph).hops[i as usize] as usize)
     }
 
     /// The route class at `src`, if routable.
@@ -94,7 +105,13 @@ impl RoutingTree {
             return Some(RouteClass::Customer);
         }
         self.next_hop_idx(i)?;
-        Some(self.class[i as usize])
+        Some(self.detail(graph).class[i as usize])
+    }
+
+    /// Classes and hop counts, from a second propagation run on first use.
+    fn detail(&self, graph: &AsGraph) -> &RouteDetail {
+        self.detail
+            .get_or_init(|| propagate(graph, self.dest_idx).1)
     }
 
     /// The full AS path from `src` to the destination (inclusive on both
@@ -121,6 +138,9 @@ impl RoutingTree {
 /// destination node, so every method takes `&self` and threads share
 /// one router without a lock: each tree is built at most once, and a
 /// thread that races a build waits for it instead of building again.
+/// A cached tree holds one `u32` next hop per node; the route classes
+/// and hop counts that only [`BgpRouter::as_hops`] and
+/// [`RoutingTree::class_from`] read are rebuilt on their first use.
 ///
 /// ```
 /// use asap_topology::{AsGraph, EdgeKind, routing::BgpRouter};
@@ -154,7 +174,8 @@ impl BgpRouter {
     /// `(hits, misses)` of the routing-tree cache: a miss computes a
     /// full tree, a hit answers from the memo. Every tree lookup counts
     /// exactly once, and a destination costs exactly one miss even when
-    /// threads race to build it.
+    /// threads race to build it. The lazy class and hop-count fill of a
+    /// cached tree is not a lookup and counts nothing.
     pub fn cache_stats(&self) -> (u64, u64) {
         (
             self.cache_hits.load(Ordering::Relaxed),
@@ -215,7 +236,18 @@ impl BgpRouter {
     }
 }
 
-/// Builds the routing tree towards `dest` with three-stage propagation:
+/// The routing tree towards `dest_idx`, keeping only its next hops.
+fn compute_tree(graph: &AsGraph, dest_idx: u32) -> RoutingTree {
+    RoutingTree {
+        dest: graph.asn_at(dest_idx),
+        dest_idx,
+        next_hop: propagate(graph, dest_idx).0,
+        detail: OnceLock::new(),
+    }
+}
+
+/// Computes every node's next hop, route class and hop count towards
+/// `dest` with three-stage propagation:
 ///
 /// 1. **Customer routes** climb from the destination through
 ///    customer→provider links (every AS gladly carries traffic *to* its
@@ -230,8 +262,7 @@ impl BgpRouter {
 /// Each stage walks only the neighbor slice its edges come from (see
 /// `AsGraph::up_idx` and its siblings), in adjacency order, so it visits
 /// the same candidates in the same order as a scan of every neighbor.
-fn compute_tree(graph: &AsGraph, dest_idx: u32) -> RoutingTree {
-    let dest = graph.asn_at(dest_idx);
+fn propagate(graph: &AsGraph, dest_idx: u32) -> (Vec<u32>, RouteDetail) {
     let n = graph.node_count();
     let mut next_hop = vec![NO_ROUTE; n];
     let mut class = vec![RouteClass::Provider; n];
@@ -342,13 +373,7 @@ fn compute_tree(graph: &AsGraph, dest_idx: u32) -> RoutingTree {
         }
     }
 
-    RoutingTree {
-        dest,
-        dest_idx,
-        next_hop,
-        class,
-        hops,
-    }
+    (next_hop, RouteDetail { class, hops })
 }
 
 /// Convenience check used by tests and property suites: every realized
