@@ -142,6 +142,25 @@ fn chaos_overload_phase_holds_the_dead_relay_invariant() {
 }
 
 #[test]
+fn sharded_soak_hits_the_close_set_and_route_caches() {
+    // The caches must be in the soak's hot path, not just present: the
+    // full tiny world at seed 7, 1,000 sessions on 4 shards.
+    let scenario = Scenario::build(Scale::Tiny.scenario_config(), 7);
+    let telemetry = Telemetry::new();
+    chaos_soak_sharded(&scenario, 7, 1_000, 4, 1, &telemetry);
+    let close_set_hits = telemetry
+        .registry()
+        .counter("ASAP.cache.close_set.hits")
+        .get();
+    assert!(close_set_hits > 0, "close-set cache registered no hits");
+    let (route_hits, route_misses) = scenario.net.route_cache_stats();
+    assert!(
+        route_hits > 0,
+        "route cache registered no hits ({route_hits}/{route_misses})"
+    );
+}
+
+#[test]
 fn different_seeds_change_the_schedule() {
     let scenario = tiny_scenario(5);
     let sweep = |seed| fault_recovery_sweep_with(&scenario, seed, 120, &Telemetry::new());

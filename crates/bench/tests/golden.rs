@@ -1,9 +1,8 @@
 //! Golden pins for the experiment binaries.
 //!
-//! Every experiment bin except `par_bench` (whose output is wall-clock
-//! time) runs at `--scale tiny --seed 1`. Its stdout must equal
-//! `golden/<bin>.stdout` byte for byte, and its exit code (plus, for the
-//! bins that write `--metrics-out`, a 64-bit FNV-1a of the snapshot)
+//! Every experiment bin runs at `--scale tiny --seed 1`. Its stdout must
+//! equal `golden/<bin>.stdout` byte for byte, and its exit code (plus, for
+//! the bins that write `--metrics-out`, a 64-bit FNV-1a of the snapshot)
 //! must equal its line in `golden/pins.txt`. A change that must not move
 //! any simulated output leaves every pin as it is; one that moves an
 //! output on purpose regenerates the pin with the command a mismatch

@@ -1,14 +1,8 @@
-//! The ITU-T G.114 one-way delay budget.
+//! The ITU-T G.114 one-way delay limit.
 //!
 //! G.114 recommends 150 ms as the upper limit of one-way mouth-to-ear
 //! delay for most interactive applications; the ASAP paper derives from it
-//! the 300 ms RTT threshold that defines a *quality path*. The mouth-to-ear
-//! delay is not just network propagation: the codec, packetization, and
-//! the playout (jitter) buffer all consume part of the budget, so the
-//! network's share is smaller — [`DelayBudget::network_budget_ms`]
-//! computes it.
-
-use crate::codec::Codec;
+//! the 300 ms RTT threshold that defines a *quality path*.
 
 /// G.114 upper limit of one-way mouth-to-ear delay for interactive
 /// speech, in milliseconds.
@@ -19,60 +13,6 @@ pub const ONE_WAY_LIMIT_MS: f64 = 150.0;
 /// delay upper limit of a path is 150 ms").
 pub const RTT_LIMIT_MS: f64 = 2.0 * ONE_WAY_LIMIT_MS;
 
-/// Breakdown of the one-way mouth-to-ear delay budget for a codec
-/// configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DelayBudget {
-    codec: Codec,
-    frames_per_packet: u32,
-    playout_ms: f64,
-}
-
-impl DelayBudget {
-    /// A budget for `codec` packing `frames_per_packet` codec frames per
-    /// RTP packet with a playout buffer of `playout_ms`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frames_per_packet` is zero.
-    pub fn new(codec: Codec, frames_per_packet: u32, playout_ms: f64) -> Self {
-        assert!(frames_per_packet > 0, "at least one codec frame per packet");
-        DelayBudget {
-            codec,
-            frames_per_packet,
-            playout_ms: playout_ms.max(0.0),
-        }
-    }
-
-    /// A typical configuration: two frames per packet, 40 ms playout
-    /// buffer.
-    pub fn typical(codec: Codec) -> Self {
-        DelayBudget::new(codec, 2, 40.0)
-    }
-
-    /// Packetization delay: frames per packet × frame duration.
-    pub fn packetization_ms(&self) -> f64 {
-        self.frames_per_packet as f64 * self.codec.frame_ms()
-    }
-
-    /// Total end-system delay (codec processing + packetization + playout).
-    pub fn end_system_ms(&self) -> f64 {
-        self.codec.processing_ms() + self.packetization_ms() + self.playout_ms
-    }
-
-    /// The one-way *network* delay budget left inside the G.114 limit
-    /// (zero when the end systems alone exceed it).
-    pub fn network_budget_ms(&self) -> f64 {
-        (ONE_WAY_LIMIT_MS - self.end_system_ms()).max(0.0)
-    }
-
-    /// Whether a path with the given one-way network delay fits the G.114
-    /// budget under this configuration.
-    pub fn fits(&self, network_one_way_ms: f64) -> bool {
-        network_one_way_ms <= self.network_budget_ms()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,36 +20,5 @@ mod tests {
     #[test]
     fn rtt_limit_is_twice_one_way() {
         assert_eq!(RTT_LIMIT_MS, 300.0);
-    }
-
-    #[test]
-    fn g729a_typical_budget() {
-        let b = DelayBudget::typical(Codec::G729aVad);
-        // 15 ms processing + 20 ms packetization + 40 ms playout = 75 ms.
-        assert!((b.end_system_ms() - 75.0).abs() < 1e-9);
-        assert!((b.network_budget_ms() - 75.0).abs() < 1e-9);
-        assert!(b.fits(75.0));
-        assert!(!b.fits(76.0));
-    }
-
-    #[test]
-    fn heavy_codec_config_can_exhaust_the_budget() {
-        // G.723.1 with 4 frames per packet and a large playout buffer.
-        let b = DelayBudget::new(Codec::G7231, 4, 60.0);
-        assert_eq!(b.network_budget_ms(), 0.0);
-        assert!(!b.fits(1.0));
-        assert!(b.fits(0.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one codec frame")]
-    fn zero_frames_per_packet_panics() {
-        DelayBudget::new(Codec::G711, 0, 40.0);
-    }
-
-    #[test]
-    fn negative_playout_clamped() {
-        let b = DelayBudget::new(Codec::G711, 1, -5.0);
-        assert!(b.end_system_ms() >= 0.0);
     }
 }

@@ -46,24 +46,6 @@ impl Codec {
             Codec::G7231 => 16.1,
         }
     }
-
-    /// Frame duration in milliseconds (one codec frame).
-    pub fn frame_ms(self) -> f64 {
-        match self {
-            Codec::G711 | Codec::G711Plc => 10.0,
-            Codec::G729 | Codec::G729aVad => 10.0,
-            Codec::G7231 => 30.0,
-        }
-    }
-
-    /// Codec algorithmic + look-ahead delay in milliseconds.
-    pub fn processing_ms(self) -> f64 {
-        match self {
-            Codec::G711 | Codec::G711Plc => 0.25,
-            Codec::G729 | Codec::G729aVad => 15.0,
-            Codec::G7231 => 37.5,
-        }
-    }
 }
 
 impl fmt::Display for Codec {

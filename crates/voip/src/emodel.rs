@@ -15,7 +15,7 @@
 //!   177.3)`;
 //! * `Ie,eff = Ie + (95 − Ie) · Ppl/(Ppl + Bpl)` is the effective
 //!   equipment impairment under random packet loss `Ppl` (in percent);
-//! * `A` is the advantage factor (0 for wire-bound telephony).
+//! * `A` is the advantage factor, fixed at 0 here (wire-bound telephony).
 //!
 //! `R` maps to MOS with the standard G.107 Annex B cubic.
 
@@ -24,7 +24,8 @@ use crate::codec::Codec;
 /// Default `R₀ − Is` under G.107 default parameters.
 pub const DEFAULT_BASE_R: f64 = 93.2;
 
-/// An E-model evaluator for a fixed codec and advantage factor.
+/// An E-model evaluator for a fixed codec, with the G.107 default base
+/// rating and no advantage factor.
 ///
 /// ```
 /// use asap_voip::{emodel::EModel, Codec};
@@ -35,36 +36,12 @@ pub const DEFAULT_BASE_R: f64 = 93.2;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EModel {
     codec: Codec,
-    base_r: f64,
-    advantage: f64,
 }
 
 impl EModel {
-    /// Creates an evaluator with G.107 default base rating and no
-    /// advantage factor.
+    /// Creates an evaluator for `codec`.
     pub fn new(codec: Codec) -> Self {
-        EModel {
-            codec,
-            base_r: DEFAULT_BASE_R,
-            advantage: 0.0,
-        }
-    }
-
-    /// Overrides the base rating `R₀ − Is` (rarely needed).
-    pub fn with_base_r(mut self, base_r: f64) -> Self {
-        self.base_r = base_r;
-        self
-    }
-
-    /// Sets the advantage factor `A` (e.g. 10 for mobile access).
-    pub fn with_advantage(mut self, advantage: f64) -> Self {
-        self.advantage = advantage;
-        self
-    }
-
-    /// The codec this evaluator is configured for.
-    pub fn codec(&self) -> Codec {
-        self.codec
+        EModel { codec }
     }
 
     /// Delay impairment `Id` for a one-way mouth-to-ear delay in
@@ -89,8 +66,7 @@ impl EModel {
     /// Transmission rating `R` for a one-way delay (ms) and a packet loss
     /// probability in [0, 1]. Clamped to [0, 100].
     pub fn rating(&self, one_way_ms: f64, loss: f64) -> f64 {
-        let r = self.base_r - Self::delay_impairment(one_way_ms) - self.loss_impairment(loss)
-            + self.advantage;
+        let r = DEFAULT_BASE_R - Self::delay_impairment(one_way_ms) - self.loss_impairment(loss);
         r.clamp(0.0, 100.0)
     }
 
@@ -216,17 +192,8 @@ mod tests {
     }
 
     #[test]
-    fn advantage_factor_raises_rating() {
-        let plain = EModel::new(Codec::G729aVad);
-        let mobile = EModel::new(Codec::G729aVad).with_advantage(10.0);
-        assert!(mobile.rating(100.0, 0.01) > plain.rating(100.0, 0.01));
-    }
-
-    #[test]
     fn rating_clamped_to_valid_range() {
         let m = EModel::new(Codec::G7231);
         assert_eq!(m.rating(10_000.0, 1.0), 0.0);
-        let boosted = EModel::new(Codec::G711).with_base_r(120.0);
-        assert_eq!(boosted.rating(0.0, 0.0), 100.0);
     }
 }

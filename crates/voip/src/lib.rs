@@ -1,5 +1,5 @@
 //! VoIP speech-quality substrate: the ITU-T E-model, MOS, codec
-//! impairment tables, and the G.114 delay budget.
+//! impairment tables, and the G.114 delay limit.
 //!
 //! The ASAP paper evaluates relay paths by the Mean Opinion Score its
 //! sessions would achieve: "The MOS quality metric can be quantitatively
@@ -14,8 +14,10 @@
 //! * [`Codec`] — equipment-impairment (`Ie`) and loss-robustness (`Bpl`)
 //!   parameters for the codecs the paper discusses (G.711, G.729, G.729A,
 //!   G.723.1).
-//! * [`budget`] — the G.114 one-way delay budget (150 ms) and the derived
+//! * [`budget`] — the G.114 one-way delay limit (150 ms) and the derived
 //!   300 ms RTT threshold ASAP uses for *quality paths*.
+//! * [`QualityRequirement`] — the quality-path RTT predicate relay
+//!   selection applies.
 //!
 //! # Example
 //!
@@ -40,4 +42,4 @@ pub mod emodel;
 mod quality;
 
 pub use codec::Codec;
-pub use quality::{PathQuality, QualityRequirement};
+pub use quality::QualityRequirement;

@@ -1,27 +1,19 @@
-//! Quality-path requirements and per-path quality reports.
-
-use crate::codec::Codec;
-use crate::emodel::{EModel, SATISFACTION_MOS};
+//! The quality-path requirement.
 
 /// The requirement a relay path must meet to count as a *quality path*
 /// (paper §7.1: "VoIP user satisfaction demands RTT latency be below 300
-/// ms and MOS be above 3.6").
+/// ms and MOS be above 3.6"). Relay selection applies only the RTT part;
+/// the MOS floor is [`SATISFACTION_MOS`](crate::emodel::SATISFACTION_MOS).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QualityRequirement {
     /// Maximum acceptable round-trip time in milliseconds.
     pub max_rtt_ms: f64,
-    /// Maximum acceptable packet loss probability in [0, 1].
-    pub max_loss: f64,
-    /// Minimum acceptable MOS.
-    pub min_mos: f64,
 }
 
 impl Default for QualityRequirement {
     fn default() -> Self {
         QualityRequirement {
             max_rtt_ms: crate::budget::RTT_LIMIT_MS,
-            max_loss: 0.05,
-            min_mos: SATISFACTION_MOS,
         }
     }
 }
@@ -31,35 +23,6 @@ impl QualityRequirement {
     /// requirement (the predicate ASAP's `select-close-relay()` applies).
     pub fn rtt_ok(&self, rtt_ms: f64) -> bool {
         rtt_ms < self.max_rtt_ms
-    }
-
-    /// Evaluates a full path report against the requirement.
-    pub fn satisfied_by(&self, q: &PathQuality) -> bool {
-        self.rtt_ok(q.rtt_ms) && q.loss <= self.max_loss && q.mos >= self.min_mos
-    }
-}
-
-/// The quality of one (direct or relay) path: its measured RTT and loss
-/// and the E-model MOS they imply.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PathQuality {
-    /// Round-trip time in milliseconds.
-    pub rtt_ms: f64,
-    /// Packet loss probability in [0, 1].
-    pub loss: f64,
-    /// Mean Opinion Score under the configured codec.
-    pub mos: f64,
-}
-
-impl PathQuality {
-    /// Scores a path from its RTT and loss under `codec` (one-way delay =
-    /// RTT/2, as the paper assumes when scoring by RTT).
-    pub fn score(rtt_ms: f64, loss: f64, codec: Codec) -> Self {
-        PathQuality {
-            rtt_ms,
-            loss,
-            mos: EModel::new(codec).mos_from_rtt(rtt_ms, loss),
-        }
     }
 }
 
@@ -71,7 +34,6 @@ mod tests {
     fn default_requirement_matches_paper() {
         let req = QualityRequirement::default();
         assert_eq!(req.max_rtt_ms, 300.0);
-        assert_eq!(req.min_mos, 3.6);
     }
 
     #[test]
@@ -79,26 +41,5 @@ mod tests {
         let req = QualityRequirement::default();
         assert!(req.rtt_ok(299.9));
         assert!(!req.rtt_ok(300.0));
-    }
-
-    #[test]
-    fn good_path_satisfies() {
-        let req = QualityRequirement::default();
-        let q = PathQuality::score(120.0, 0.005, Codec::G729aVad);
-        assert!(req.satisfied_by(&q));
-    }
-
-    #[test]
-    fn lossy_path_fails_even_with_low_rtt() {
-        let req = QualityRequirement::default();
-        let q = PathQuality::score(50.0, 0.2, Codec::G729aVad);
-        assert!(!req.satisfied_by(&q));
-    }
-
-    #[test]
-    fn slow_path_fails() {
-        let req = QualityRequirement::default();
-        let q = PathQuality::score(450.0, 0.005, Codec::G729aVad);
-        assert!(!req.satisfied_by(&q));
     }
 }

@@ -1,10 +1,9 @@
-//! Seeded property tests for the E-model and quality predicates.
+//! Seeded property tests for the E-model.
 
 use asap_rng::check::check;
 use asap_rng::StdRng;
-use asap_voip::budget::DelayBudget;
 use asap_voip::emodel::{r_to_mos, EModel};
-use asap_voip::{Codec, PathQuality, QualityRequirement};
+use asap_voip::Codec;
 
 fn arb_codec(rng: &mut StdRng) -> Codec {
     const CODECS: [Codec; 5] = [
@@ -85,44 +84,5 @@ fn better_codec_never_hurts_at_zero_loss() {
         for codec in [Codec::G729, Codec::G729aVad, Codec::G7231] {
             assert!(g711 >= EModel::new(codec).mos(delay, 0.0) - 1e-12);
         }
-    });
-}
-
-#[test]
-fn quality_requirement_consistency() {
-    check(256, |rng| {
-        let rtt = rng.gen_range(0.0f64..2_000.0);
-        let loss = rng.gen_range(0.0f64..0.2);
-        let req = QualityRequirement::default();
-        let q = PathQuality::score(rtt, loss, Codec::G729aVad);
-        if req.satisfied_by(&q) {
-            assert!(rtt < req.max_rtt_ms);
-            assert!(loss <= req.max_loss);
-            assert!(q.mos >= req.min_mos);
-        }
-        // A path that satisfies keeps satisfying when strictly improved.
-        if req.satisfied_by(&q) && rtt > 1.0 {
-            let better = PathQuality::score(rtt - 1.0, loss, Codec::G729aVad);
-            assert!(req.satisfied_by(&better));
-        }
-    });
-}
-
-#[test]
-fn delay_budget_partition() {
-    check(256, |rng| {
-        let frames = rng.gen_range(1u32..6);
-        let playout = rng.gen_range(0.0f64..120.0);
-        let codec = arb_codec(rng);
-        let b = DelayBudget::new(codec, frames, playout);
-        let total = b.end_system_ms() + b.network_budget_ms();
-        // Either the budget partitions exactly at 150 ms, or the end
-        // system already exceeds it and the network share is zero.
-        if b.network_budget_ms() > 0.0 {
-            assert!((total - 150.0).abs() < 1e-9);
-        } else {
-            assert!(b.end_system_ms() >= 150.0 - 1e-9);
-        }
-        assert!(b.fits(b.network_budget_ms()));
     });
 }

@@ -30,7 +30,6 @@ pub use asap_cluster as cluster;
 pub use asap_core as core;
 pub use asap_netsim as netsim;
 pub use asap_topology as topology;
-pub use asap_transport as transport;
 pub use asap_voip as voip;
 pub use asap_workload as workload;
 
@@ -41,7 +40,6 @@ pub mod prelude {
     pub use asap_core::{AsapConfig, AsapSelector, AsapSystem};
     pub use asap_netsim::{NetConfig, NetModel};
     pub use asap_topology::{AsGraph, EdgeKind, InternetConfig, InternetGenerator};
-    pub use asap_transport::call::{simulate as simulate_transport, CallConfig, Policy};
     pub use asap_voip::{emodel::EModel, Codec, QualityRequirement};
     pub use asap_workload::{sessions, HostId, Population, Scenario, ScenarioConfig};
 }
