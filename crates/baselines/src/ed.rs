@@ -16,7 +16,7 @@ use asap_workload::sessions::Session;
 use asap_workload::{HostId, Scenario};
 
 use crate::rand_sel::RandSel;
-use crate::selector::{eval_one_hop, RelaySelector, SelectionOutcome};
+use crate::selector::{eval_one_hop, RelayPath, RelaySelector, SelectionOutcome};
 
 /// The earliest-divergence baseline: probes the same random candidates as
 /// [`RandSel`], but *ranks* them by how early the caller→relay AS path
@@ -81,7 +81,9 @@ impl RelaySelector for EarliestDivergence {
         requirement: &QualityRequirement,
     ) -> SelectionOutcome {
         let mut out = SelectionOutcome::default();
-        let mut ranked: Vec<(usize, f64, crate::selector::RelayPath)> = Vec::new();
+        // The first candidate with the earliest divergence, RTT breaking
+        // ties.
+        let mut best: Option<(usize, RelayPath)> = None;
         let candidates = self.sampler.candidates(scenario, session);
         // One message per probed candidate, as in the seed accounting.
         self.scope
@@ -105,11 +107,14 @@ impl RelaySelector for EarliestDivergence {
                 Some(direct) => shared_prefix(scenario, direct, caller, pop.host(r).asn),
                 None => 0,
             };
-            ranked.push((shared, path.rtt_ms, path));
+            let better = best
+                .as_ref()
+                .is_none_or(|(s, b)| shared.cmp(s).then(path.rtt_ms.total_cmp(&b.rtt_ms)).is_lt());
+            if better {
+                best = Some((shared, path));
+            }
         }
-        // Earliest divergence first; RTT only breaks ties.
-        ranked.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
-        out.best = ranked.into_iter().next().map(|(_, _, p)| p);
+        out.best = best.map(|(_, p)| p);
         out
     }
 

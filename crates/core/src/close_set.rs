@@ -92,8 +92,14 @@ impl CloseClusterSet {
 
     /// The entry for `cluster`, if it is in the set.
     pub fn get(&self, cluster: ClusterId) -> Option<&CloseClusterEntry> {
+        self.position(cluster).map(|i| &self.entries[i as usize])
+    }
+
+    /// The position in [`CloseClusterSet::entries`] of the entry
+    /// [`CloseClusterSet::get`] answers with for `cluster`.
+    pub(crate) fn position(&self, cluster: ClusterId) -> Option<u32> {
         match self.position.get(cluster.0 as usize) {
-            Some(&i) if i != ABSENT => Some(&self.entries[i as usize]),
+            Some(&i) if i != ABSENT => Some(i),
             _ => None,
         }
     }

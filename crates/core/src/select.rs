@@ -24,13 +24,37 @@
 //! fetched set contributes a pair: the fetch is what builds sets, meters
 //! cache hits and feeds the Fig. 18 ledger.
 //!
-//! **Exact pruning.** The two-hop scan of `r1`'s set is skipped when
-//! `rtt(h1–r1) + 2·40 ms ≥ latT`. No pair through `r1` could qualify:
-//! RTTs are non-negative and f64 addition is monotone, so the estimate
-//! `((e1 + e12) + e2) + 80` is never below `e1 + 80`. This leaves every
-//! output bit-identical to the plain algorithm. The callee's RTTs are
-//! read through [`CloseClusterSet::get`], whose position index is dense
-//! by cluster id, so a pair costs no hash lookup.
+//! **Exact pruning.** Write `e1`, `e12` and `e2` for the RTTs of the
+//! legs `h1–r1`, `r1–r2` and `r2–h2`. A pair's estimate is computed as
+//! `((e1 + e12) + e2) + 80`. Set RTTs are finite and non-negative, and
+//! f64 rounding is monotone, so the estimate is never below
+//! `(e1 + e2) + 80`, `e1 + 80` or `e2 + 80`. Hence:
+//!
+//! * the scan through `r1` is skipped when `e1 + 80 ≥ latT` (`r1`'s set
+//!   is still fetched, per the contract above);
+//! * once per expansion, the callee entries with `e2 + 80 < latT` (the
+//!   *closers*) are listed by position and stably sorted by RTT;
+//! * for each `r1`, the closers are walked while `(e1 + e2) + 80 <
+//!   latT`; since `e2` only grows along the list, no later closer could
+//!   qualify either. Each closer's cluster is looked up in `r1`'s set
+//!   through its position index, so a visited closer costs no hash and
+//!   the walk is sized by the pairs that can still close, not by
+//!   `|S1|·|S(r1)|`.
+//!
+//! **Order.** The plain algorithm scans `r1`'s set and pushes the pairs
+//! through `r1` in `r1`'s entry order; the final stable sort by
+//! estimate keeps that order among ties. The closer walk finds the same
+//! pairs in callee RTT order, so each `r1`'s pairs are re-sorted by
+//! their position in `r1`'s set before the final sort. The output is
+//! then bit-identical to the plain algorithm, order included.
+//!
+//! **Precondition.** Every set holds each cluster at most once, so that
+//! the lookup in `r1`'s set finds the one entry a scan would visit.
+//! Fig. 9 reports each reached AS once and skips the origin, and
+//! [`CloseClusterSet::from_entries`] keeps only the first entry of a
+//! duplicated cluster, so every set the library builds meets it. (The
+//! callee side needs no precondition: its closers are the entries that
+//! [`CloseClusterSet::get`] answers with.)
 
 use std::borrow::Borrow;
 
@@ -135,7 +159,8 @@ impl CloseRelaySelection {
 /// set of a caller-side surrogate during two-hop expansion — the runtime
 /// supplies a cached lookup and the message accounting assumes one
 /// request/response round trip per call (see the module docs for the
-/// full contract).
+/// full contract). Each set must hold a cluster at most once (module
+/// docs, "Precondition").
 pub fn select_close_relay<S: Borrow<CloseClusterSet>>(
     caller_set: &CloseClusterSet,
     callee_set: &CloseClusterSet,
@@ -171,30 +196,54 @@ pub fn select_close_relay<S: Borrow<CloseClusterSet>>(
     let one_hop_ips: u64 = sel.one_hop.iter().map(|r| r.member_ips).sum();
     if (one_hop_ips as usize) < config.size_t {
         sel.expanded_two_hop = true;
+        let lat_t = config.lat_t_ms;
+        let relay_delays = 2.0 * RELAY_DELAY_RTT_MS;
+        // The callee entries that can still close a pair, by RTT.
+        let callee = callee_set.entries();
+        let mut closers = Vec::with_capacity(callee.len());
+        closers.extend((0..callee.len() as u32).filter(|&i| {
+            let e2 = &callee[i as usize];
+            callee_set.position(e2.cluster) == Some(i) && e2.rtt_ms + relay_delays < lat_t
+        }));
+        // Ties go by position: the stable order by RTT, without a stable
+        // sort's scratch buffer.
+        closers.sort_unstable_by(|&a, &b| {
+            let rtt = |i: u32| callee[i as usize].rtt_ms;
+            rtt(a).total_cmp(&rtt(b)).then(a.cmp(&b))
+        });
         for e1 in caller_set.entries() {
             // Query r1's surrogate for its close cluster set.
             sel.messages += 2;
             let r1_set = fetch_close_set(e1.cluster);
-            if e1.rtt_ms + 2.0 * RELAY_DELAY_RTT_MS >= config.lat_t_ms {
+            if e1.rtt_ms + relay_delays >= lat_t {
                 continue; // no pair through r1 can qualify (module docs)
             }
-            for e12 in r1_set.borrow().entries() {
-                if e12.cluster == e1.cluster {
+            let r1_set = r1_set.borrow();
+            let first = sel.two_hop.len();
+            for &i2 in &closers {
+                let e2 = &callee[i2 as usize];
+                if e1.rtt_ms + e2.rtt_ms + relay_delays >= lat_t {
+                    break; // nor can this or any later closer (module docs)
+                }
+                if e2.cluster == e1.cluster {
                     continue;
                 }
-                let Some(e2) = callee_set.get(e12.cluster) else {
+                let Some(e12) = r1_set.get(e2.cluster) else {
                     continue;
                 };
-                let est_rtt_ms = e1.rtt_ms + e12.rtt_ms + e2.rtt_ms + 2.0 * RELAY_DELAY_RTT_MS;
-                if est_rtt_ms < config.lat_t_ms {
+                let est_rtt_ms = e1.rtt_ms + e12.rtt_ms + e2.rtt_ms + relay_delays;
+                if est_rtt_ms < lat_t {
                     sel.two_hop.push(TwoHopRelay {
                         first: e1.cluster,
-                        second: e12.cluster,
+                        second: e2.cluster,
                         est_rtt_ms,
-                        member_pairs: cluster_size(e1.cluster) * cluster_size(e12.cluster),
+                        member_pairs: cluster_size(e1.cluster) * cluster_size(e2.cluster),
                     });
                 }
             }
+            // r1's pairs in r1's entry order, as a scan of its set would
+            // push them (module docs).
+            sel.two_hop[first..].sort_unstable_by_key(|t| r1_set.position(t.second));
         }
         sel.two_hop
             .sort_by(|a, b| a.est_rtt_ms.total_cmp(&b.est_rtt_ms));

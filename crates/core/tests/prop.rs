@@ -2,7 +2,7 @@
 //! cluster sets, close-set invariants on a shared scenario, and a
 //! differential oracle for the Fig. 9 close-set construction.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 use asap_cluster::{Asn, ClusterId};
@@ -11,13 +11,13 @@ use asap_core::close_set::{
     CloseClusterSet, ClusterIndex, SearchMode,
 };
 use asap_core::select::{select_close_relay, CloseRelaySelection, OneHopRelay, TwoHopRelay};
-use asap_core::AsapConfig;
+use asap_core::{AsapConfig, AsapSystem};
 use asap_netsim::{AsCondition, FaultKind, NetModel, RELAY_DELAY_RTT_MS};
 use asap_rng::check::{check, vec};
 use asap_rng::StdRng;
 use asap_topology::valley::{bounded_search, bounded_search_unconstrained, Expand, Reached};
 use asap_topology::{AsTier, EdgeKind};
-use asap_workload::{HostId, Scenario, ScenarioConfig};
+use asap_workload::{sessions, HostId, Scenario, ScenarioConfig};
 
 fn shared_scenario() -> &'static Scenario {
     static SCENARIO: OnceLock<Scenario> = OnceLock::new();
@@ -270,10 +270,87 @@ fn relay_bits(sel: &CloseRelaySelection) -> RelayBits {
     (one.collect(), two.collect())
 }
 
-/// `select_close_relay` (slice lookups, exact pruning, borrowed
-/// fetches) is bit-identical to the plain reference. Callee-side ids
-/// run past every caller-side id, so the callee slice is probed out
-/// of range too.
+/// An entry of cluster `0..max_cluster` whose RTT sits on a 20 ms grid
+/// from 0 to 140 ms, so two-hop estimates through one `r1` often tie.
+fn arb_grid_entry(rng: &mut StdRng, max_cluster: u32) -> CloseClusterEntry {
+    let c = rng.gen_range(0..max_cluster);
+    CloseClusterEntry {
+        cluster: ClusterId(c),
+        surrogate: HostId(c),
+        rtt_ms: 20.0 * f64::from(rng.gen_range(0u32..8)),
+        loss: rng.gen_range(0.0..0.04),
+        as_hops: 1,
+    }
+}
+
+/// Up to 60 grid entries over 24 clusters: sets drawn this way share
+/// most of their clusters, each set in its own entry order.
+fn arb_grid_set(rng: &mut StdRng) -> CloseClusterSet {
+    CloseClusterSet::from_entries(vec(rng, 0..61, |rng| arb_grid_entry(rng, 24)))
+}
+
+/// Runs `select_close_relay` and the plain reference on one case and
+/// requires them to agree bit for bit, with one fetch per caller entry
+/// in entry order when expanding. Returns whether the reference holds
+/// two tied pairs through one `r1` whose order in `r1`'s set differs
+/// from their order by callee RTT (the order a walk of the callee's
+/// entries by RTT finds them in).
+fn assert_matches_reference(
+    caller: &CloseClusterSet,
+    callee: &CloseClusterSet,
+    mids: &[CloseClusterSet],
+    config: &AsapConfig,
+    cluster_size: &dyn Fn(ClusterId) -> u64,
+) -> bool {
+    let mid_of = |c: ClusterId| &mids[c.0 as usize % mids.len()];
+    let mut fetched = Vec::new();
+    let fast = select_close_relay(caller, callee, config, cluster_size, |c| {
+        fetched.push(c);
+        mid_of(c)
+    });
+    let mut ref_fetched = Vec::new();
+    let reference = reference_select_close_relay(caller, callee, config, cluster_size, &mut |c| {
+        ref_fetched.push(c);
+        mid_of(c).clone()
+    });
+
+    assert_eq!(relay_bits(&fast), relay_bits(&reference));
+    assert_eq!(fast.messages, reference.messages);
+    assert_eq!(fast.expanded_two_hop, reference.expanded_two_hop);
+    // One fetch per caller entry, in entry order, when expanding.
+    let caller_order: Vec<ClusterId> = caller.entries().iter().map(|e| e.cluster).collect();
+    let expected = if fast.expanded_two_hop {
+        caller_order
+    } else {
+        Vec::new()
+    };
+    assert_eq!(&fetched, &expected);
+    assert_eq!(&ref_fetched, &expected);
+
+    // The final sort is stable, so tied pairs through one r1 sit next
+    // to each other in r1's entry order.
+    let by_callee_rtt = |c: ClusterId| {
+        let i = callee.entries().iter().position(|e| e.cluster == c);
+        let i = i.expect("a two-hop pair ends in the callee's set");
+        (callee.entries()[i].rtt_ms, i)
+    };
+    reference.two_hop.windows(2).any(|w| {
+        let (a, b) = (by_callee_rtt(w[0].second), by_callee_rtt(w[1].second));
+        w[0].first == w[1].first
+            && w[0].est_rtt_ms.to_bits() == w[1].est_rtt_ms.to_bits()
+            && a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_gt()
+    })
+}
+
+/// `select_close_relay` (slice lookups, exact pruning, the callee
+/// walk by RTT, borrowed fetches) is bit-identical to the plain
+/// reference, order included. The boundary cases put RTTs on and
+/// either side of the pruning bounds; callee-side ids run past every
+/// caller-side id, so the callee slice is probed out of range too. The
+/// grid cases share most clusters between the callee and the `r1`
+/// sets, in different entry orders and at tied RTTs, and at least one
+/// of them must hold tied pairs through one `r1` whose `r1` order
+/// differs from their callee RTT order.
 #[test]
 fn select_close_relay_matches_the_plain_reference() {
     check(256, |rng| {
@@ -287,33 +364,106 @@ fn select_close_relay_matches_the_plain_reference() {
             ..Default::default()
         };
         let cluster_size = |c: ClusterId| size + u64::from(c.0 % 3);
-        let mid_of = |c: ClusterId| &mids[c.0 as usize % mids.len()];
-
-        let mut fetched = Vec::new();
-        let fast = select_close_relay(&caller, &callee, &config, &cluster_size, |c| {
-            fetched.push(c);
-            mid_of(c)
-        });
-        let mut ref_fetched = Vec::new();
-        let reference =
-            reference_select_close_relay(&caller, &callee, &config, &cluster_size, &mut |c| {
-                ref_fetched.push(c);
-                mid_of(c).clone()
-            });
-
-        assert_eq!(relay_bits(&fast), relay_bits(&reference));
-        assert_eq!(fast.messages, reference.messages);
-        assert_eq!(fast.expanded_two_hop, reference.expanded_two_hop);
-        // One fetch per caller entry, in entry order, when expanding.
-        let caller_order: Vec<ClusterId> = caller.entries().iter().map(|e| e.cluster).collect();
-        let expected = if fast.expanded_two_hop {
-            caller_order
-        } else {
-            Vec::new()
-        };
-        assert_eq!(&fetched, &expected);
-        assert_eq!(&ref_fetched, &expected);
+        assert_matches_reference(&caller, &callee, &mids, &config, &cluster_size);
     });
+    let mut tie_order_cases = 0;
+    check(256, |rng| {
+        let caller = arb_grid_set(rng);
+        let callee = arb_grid_set(rng);
+        let mids = vec(rng, 1..4, arb_grid_set);
+        let size_t = rng.gen_range(0usize..400);
+        let size = rng.gen_range(1u64..8);
+        let config = AsapConfig {
+            size_t,
+            ..Default::default()
+        };
+        let cluster_size = |c: ClusterId| size + u64::from(c.0 % 3);
+        tie_order_cases += usize::from(assert_matches_reference(
+            &caller,
+            &callee,
+            &mids,
+            &config,
+            &cluster_size,
+        ));
+    });
+    assert!(
+        tie_order_cases > 0,
+        "no grid case tied pairs through one r1 out of callee RTT order"
+    );
+}
+
+/// The seed `latent_compare` draws round `round`'s sessions with when
+/// run with `--seed seed` (a SplitMix64 finalizer over both).
+fn latent_round_seed(seed: u64, round: u64) -> u64 {
+    let mix = |mut z: u64| {
+        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    mix(seed ^ mix(round))
+}
+
+/// Fig. 10 at eval scale, on the two rounds `latent_compare` runs at
+/// seed 11: the eval world (scenario seed 1), 100,000 sessions drawn
+/// with the round's seed, and the first 600 with a direct RTT above
+/// 300 ms. Each round selects from the close sets of a fresh default
+/// `AsapSystem`, and every selection must match the plain reference
+/// bit for bit. Prints, per round, the expansions, the two-hop pairs,
+/// the callee entries the walk visits and the `r1` entries a scan of
+/// the fetched sets would visit. Takes about a second in release; run
+/// it with `cargo test --release -p asap-core -- --ignored --nocapture`.
+#[test]
+#[ignore = "eval scale: run in release with --ignored"]
+fn eval_scale_select_close_relay_matches_the_plain_reference() {
+    let scenario = Scenario::build(ScenarioConfig::eval_scale(), 1);
+    let population = &scenario.population;
+    let cluster_size = |c: ClusterId| population.clustering().cluster(c).len() as u64;
+    let relay_delays = 2.0 * RELAY_DELAY_RTT_MS;
+    for round in 0..2 {
+        let all = sessions::generate(population, 100_000, latent_round_seed(11, round));
+        let routed = sessions::with_direct_routes(&scenario, &all);
+        let mut latent = sessions::latent_sessions(&routed, 300.0);
+        latent.truncate(600);
+        assert_eq!(latent.len(), 600);
+        let system = AsapSystem::bootstrap(&scenario, AsapConfig::default());
+        let config = system.config();
+        let (mut expansions, mut pairs, mut walked, mut scanned) = (0, 0, 0, 0);
+        for (i, s) in latent.iter().enumerate() {
+            let caller = system.close_set_of(population.cluster_of(s.session.caller));
+            let callee = system.close_set_of(population.cluster_of(s.session.callee));
+            let fast = select_close_relay(&caller, &callee, config, &cluster_size, |c| {
+                system.close_set_of(c)
+            });
+            let reference =
+                reference_select_close_relay(&caller, &callee, config, &cluster_size, &mut |c| {
+                    let set = system.close_set_of(c);
+                    scanned += set.len();
+                    (*set).clone()
+                });
+            let what = format!("round {round}, session {i}");
+            assert_eq!(relay_bits(&fast), relay_bits(&reference), "{what}");
+            assert_eq!(fast.messages, reference.messages, "{what}");
+            assert_eq!(fast.expanded_two_hop, reference.expanded_two_hop, "{what}");
+            if fast.expanded_two_hop {
+                expansions += 1;
+                pairs += fast.two_hop.len();
+                // The walk visits each callee entry that passes its bound.
+                for e1 in caller.entries() {
+                    if e1.rtt_ms + relay_delays < config.lat_t_ms {
+                        let within = |e2: &&CloseClusterEntry| {
+                            e1.rtt_ms + e2.rtt_ms + relay_delays < config.lat_t_ms
+                        };
+                        walked += callee.entries().iter().filter(within).count();
+                    }
+                }
+            }
+        }
+        eprintln!(
+            "Fig. 10, round {round}: {expansions} expansions of 600 selects, {pairs} two-hop \
+             pairs, {walked} callee entries walked ({scanned} r1 entries in the fetched sets)"
+        );
+    }
 }
 
 /// Close-set construction invariants over the shared scenario, for a
@@ -340,10 +490,13 @@ fn close_sets_respect_any_configuration() {
             origin,
             &config,
         );
+        // Fig. 10's lookup in an r1 set assumes each cluster once.
+        let mut listed = HashSet::new();
         for e in set.entries() {
             assert!(e.rtt_ms < lat_t);
             assert!(e.as_hops <= k);
             assert_ne!(e.cluster, origin);
+            assert!(listed.insert(e.cluster), "{:?} listed twice", e.cluster);
         }
         // Each completed remote measurement costs one request/reply
         // pair; co-located (0-hop) clusters are close by construction
