@@ -176,44 +176,63 @@ mod tests {
     use asap_workload::sessions;
     use asap_workload::ScenarioConfig;
 
-    /// The `fig11_18_compare` draw at eval scale, as the `latent_compare`
-    /// benchmark workload makes it at seed 11: scenario seed 1, 100,000
-    /// sessions, the first 600 latent (direct RTT > 300 ms) ones, OPT
-    /// with default settings and ED with 200 candidates. Both selectors
-    /// must match their plain references bit for bit, and OPT must ask
-    /// each route query once. Takes a few seconds in release; run it
-    /// with `cargo test --release -p asap-baselines -- --ignored`.
+    /// The seed `latent_compare` draws round `round`'s sessions and
+    /// selector seeds with when run with `--seed seed` (a SplitMix64
+    /// finalizer over both).
+    fn latent_round_seed(seed: u64, round: u64) -> u64 {
+        let mix = |mut z: u64| {
+            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        mix(seed ^ mix(round))
+    }
+
+    /// The `fig11_18_compare` draw at eval scale, on the two rounds the
+    /// `latent_compare` benchmark workload runs at seed 11: scenario
+    /// seed 1, 100,000 sessions drawn with the round's seed, the first
+    /// 600 latent (direct RTT > 300 ms) ones, OPT with default settings
+    /// and ED with 200 candidates seeded as the round seeds it. Both
+    /// selectors must match their plain references bit for bit, and OPT
+    /// must ask each route query once. Takes a few seconds in release;
+    /// run it with `cargo test --release -p asap-baselines -- --ignored`.
     #[test]
     #[ignore = "eval scale: run in release with --ignored"]
     fn eval_scale_opt_and_ed_match_their_references() {
-        let seed = 11;
         let scenario = Scenario::build(ScenarioConfig::eval_scale(), 1);
-        let all = sessions::generate(&scenario.population, 100_000, seed);
-        let routed = sessions::with_direct_routes(&scenario, &all);
-        let mut latent = sessions::latent_sessions(&routed, 300.0);
-        latent.truncate(600);
-        assert_eq!(latent.len(), 600);
         let req = QualityRequirement::default();
         let opt = Opt::new();
-        let ed = EarliestDivergence::new(200, seed ^ 0xAB);
-        let (mut asked, mut two_hop) = (0, 0);
-        for (i, s) in latent.iter().enumerate() {
-            let (reference, queries) = opt_select(32, &scenario, s.session, &req);
-            let before = scenario.net.route_cache_stats();
-            let fast = opt.select(&scenario, s.session, &req);
-            let after = scenario.net.route_cache_stats();
-            assert_eq!(bits(&fast), bits(&reference), "OPT, session {i}");
-            assert_eq!(
-                after.0 + after.1 - before.0 - before.1,
-                queries,
-                "OPT, session {i}"
+        for round in 0..2 {
+            let seed = latent_round_seed(11, round);
+            let all = sessions::generate(&scenario.population, 100_000, seed);
+            let routed = sessions::with_direct_routes(&scenario, &all);
+            let mut latent = sessions::latent_sessions(&routed, 300.0);
+            latent.truncate(600);
+            assert_eq!(latent.len(), 600);
+            let ed = EarliestDivergence::new(200, seed ^ 0xAB);
+            let (mut asked, mut two_hop) = (0, 0);
+            for (i, s) in latent.iter().enumerate() {
+                let what = format!("round {round}, session {i}");
+                let (reference, queries) = opt_select(32, &scenario, s.session, &req);
+                let before = scenario.net.route_cache_stats();
+                let fast = opt.select(&scenario, s.session, &req);
+                let after = scenario.net.route_cache_stats();
+                assert_eq!(bits(&fast), bits(&reference), "OPT, {what}");
+                assert_eq!(
+                    after.0 + after.1 - before.0 - before.1,
+                    queries,
+                    "OPT, {what}"
+                );
+                asked += queries;
+                two_hop += u64::from(fast.best.is_some_and(|b| b.relays.len() == 2));
+                let reference = ed_select(200, seed ^ 0xAB, &scenario, s.session, &req);
+                let fast = ed.select(&scenario, s.session, &req);
+                assert_eq!(bits(&fast), bits(&reference), "ED, {what}");
+            }
+            eprintln!(
+                "OPT, round {round}: {asked} route queries over 600 selects, {two_hop} two-hop wins"
             );
-            asked += queries;
-            two_hop += u64::from(fast.best.is_some_and(|b| b.relays.len() == 2));
-            let reference = ed_select(200, seed ^ 0xAB, &scenario, s.session, &req);
-            let fast = ed.select(&scenario, s.session, &req);
-            assert_eq!(bits(&fast), bits(&reference), "ED, session {i}");
         }
-        eprintln!("OPT: {asked} route queries over 600 selects, {two_hop} two-hop wins");
     }
 }

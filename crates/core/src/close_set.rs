@@ -15,8 +15,11 @@
 //! cluster delegate, by `ping`); clusters within both thresholds enter the
 //! close cluster set.
 
+use std::sync::OnceLock;
+
 use asap_cluster::ClusterId;
-use asap_topology::valley::{bounded_search_idx, bounded_search_unconstrained_idx, Expand};
+use asap_topology::valley::{bounded_search_unconstrained_idx, Expand, ReachTable};
+use asap_topology::AsGraph;
 use asap_workload::{HostId, Scenario};
 
 use crate::config::AsapConfig;
@@ -133,6 +136,10 @@ impl CloseClusterSet {
 #[derive(Debug, Clone, Default)]
 pub struct ClusterIndex {
     by_node: Vec<Vec<ClusterId>>,
+    /// Valley-free distances to the ASes that originate a cluster (the
+    /// only ASes where a build measures, adds an entry or prunes),
+    /// derived on the first valley-free build.
+    reach: OnceLock<ReachTable>,
 }
 
 impl ClusterIndex {
@@ -150,7 +157,10 @@ impl ClusterIndex {
                 .unwrap_or_else(|| panic!("cluster AS {} not in the AS graph", c.asn()));
             by_node[node as usize].push(c.id());
         }
-        ClusterIndex { by_node }
+        ClusterIndex {
+            by_node,
+            reach: OnceLock::new(),
+        }
     }
 
     /// The clusters originated by the AS at graph node index `node`, in
@@ -161,6 +171,13 @@ impl ClusterIndex {
     /// Panics if `node` is not a node index of the scenario's AS graph.
     pub fn clusters_at(&self, node: u32) -> &[ClusterId] {
         &self.by_node[node as usize]
+    }
+
+    /// The reach table toward the cluster-holding ASes of `graph`, the
+    /// AS graph of the scenario the index was built from.
+    fn reach(&self, graph: &AsGraph) -> &ReachTable {
+        self.reach
+            .get_or_init(|| ReachTable::new(graph, |node| !self.clusters_at(node).is_empty()))
     }
 }
 
@@ -246,14 +263,11 @@ pub fn construct_close_cluster_set_with_mode(
         }
     }
 
-    let search = match mode {
-        SearchMode::ValleyFree => bounded_search_idx,
-        SearchMode::Unconstrained => bounded_search_unconstrained_idx,
-    };
-    search(graph, origin_node, config.k, &mut |node, hops| {
+    let visit = |node, hops| {
         let clusters = index.clusters_at(node);
         if clusters.is_empty() {
-            // No peers there: nothing to measure, keep expanding (transit
+            // No peers there (only the unconstrained search stops at
+            // such an AS): nothing to measure, keep expanding (transit
             // ASes carry no clusters but lead to ones that do).
             return Expand::Continue;
         }
@@ -302,8 +316,19 @@ pub fn construct_close_cluster_set_with_mode(
         } else {
             Expand::Continue
         }
-    });
+    };
+    match mode {
+        // The visitor acts at cluster-holding ASes only, so the search
+        // directed at them reaches the same ASes in the same order.
+        SearchMode::ValleyFree => index.reach(graph).search(origin_node, config.k, visit),
+        SearchMode::Unconstrained => {
+            bounded_search_unconstrained_idx(graph, origin_node, config.k, visit)
+        }
+    }
 
+    // Built sets live in the close-set cache; keep no growth slack.
+    set.entries.shrink_to_fit();
+    set.position.shrink_to_fit();
     set
 }
 
@@ -482,6 +507,26 @@ mod tests {
                 "{:?} missing from unconstrained set",
                 e.cluster
             );
+        }
+    }
+
+    #[test]
+    fn built_sets_keep_no_spare_capacity() {
+        let (scenario, index, config) = setup();
+        let surrogate = delegate_surrogates(&scenario);
+        for c in scenario.population.clustering().clusters() {
+            for mode in [SearchMode::ValleyFree, SearchMode::Unconstrained] {
+                let set = construct_close_cluster_set_with_mode(
+                    &scenario,
+                    &index,
+                    &surrogate,
+                    c.id(),
+                    &config,
+                    mode,
+                );
+                assert_eq!(set.entries.capacity(), set.entries.len());
+                assert_eq!(set.position.capacity(), set.position.len());
+            }
         }
     }
 

@@ -466,6 +466,46 @@ fn eval_scale_select_close_relay_matches_the_plain_reference() {
     }
 }
 
+/// Fig. 9 at eval scale (scenario seed 1): every cluster's close set,
+/// measured from the surrogates of a default `AsapSystem`, at `k` = 2, 3
+/// and 4 (the default and the bounds `ablation_asap` sweeps below it),
+/// against the plain reference bit for bit, construction messages
+/// included. Takes about a second in release; run it with `cargo test
+/// --release -p asap-core -- --ignored`.
+#[test]
+#[ignore = "eval scale: run in release with --ignored"]
+fn eval_scale_close_sets_match_the_plain_reference() {
+    let scenario = Scenario::build(ScenarioConfig::eval_scale(), 1);
+    let index = ClusterIndex::build(&scenario);
+    let system = AsapSystem::bootstrap(&scenario, AsapConfig::default());
+    let surrogate_of = |c: ClusterId| system.surrogate_of(c);
+    let mut outcomes = [0usize; 3];
+    for k in [2, 3, 4] {
+        let config = AsapConfig {
+            k,
+            ..Default::default()
+        };
+        let mut entries = 0;
+        for c in scenario.population.clustering().clusters() {
+            let set =
+                construct_close_cluster_set(&scenario, &index, &surrogate_of, c.id(), &config);
+            let (reference, messages) = reference_close_set(
+                &scenario,
+                &surrogate_of,
+                c.id(),
+                &config,
+                SearchMode::ValleyFree,
+                &mut outcomes,
+            );
+            let what = format!("k = {k}, cluster {:?}", c.id());
+            assert_eq!(entry_bits(set.entries()), entry_bits(&reference), "{what}");
+            assert_eq!(set.construction_messages, messages, "{what}");
+            entries += set.len();
+        }
+        eprintln!("Fig. 9, k = {k}: {entries} close-set entries over all clusters");
+    }
+}
+
 /// Close-set construction invariants over the shared scenario, for a
 /// handful of configurations (each case costs a full BFS).
 #[test]

@@ -57,27 +57,47 @@ pub(crate) type NodeIdx = u32;
 
 /// Per-node neighbor lists in one flat array: the neighbors of node `i`
 /// are `nodes[start[i]..start[i + 1]]`.
-#[derive(Debug, Clone, Default)]
-struct NeighborSlices {
+#[derive(Debug, Clone)]
+pub(crate) struct NeighborSlices<T = NodeIdx> {
     start: Vec<u32>,
-    nodes: Vec<NodeIdx>,
+    nodes: Vec<T>,
+}
+
+impl<T> Default for NeighborSlices<T> {
+    fn default() -> Self {
+        NeighborSlices {
+            start: Vec::new(),
+            nodes: Vec::new(),
+        }
+    }
 }
 
 impl NeighborSlices {
     /// The neighbors of every node whose edge kind passes `keep`, in
     /// adjacency order.
     fn filter(adj: &[Vec<(NodeIdx, EdgeKind)>], keep: impl Fn(EdgeKind) -> bool) -> Self {
-        let mut start = Vec::with_capacity(adj.len() + 1);
+        NeighborSlices::collect(adj.len(), |i, nodes| {
+            let nbrs = adj[i as usize].iter();
+            nodes.extend(nbrs.filter(|(_, k)| keep(*k)).map(|&(n, _)| n));
+        })
+    }
+}
+
+impl<T> NeighborSlices<T> {
+    /// The lists `fill(node, nodes)` appends for each of `node_count`
+    /// nodes, in index order.
+    pub(crate) fn collect(node_count: usize, mut fill: impl FnMut(NodeIdx, &mut Vec<T>)) -> Self {
+        let mut start = Vec::with_capacity(node_count + 1);
         let mut nodes = Vec::new();
         start.push(0);
-        for nbrs in adj {
-            nodes.extend(nbrs.iter().filter(|(_, k)| keep(*k)).map(|&(n, _)| n));
+        for i in 0..node_count as NodeIdx {
+            fill(i, &mut nodes);
             start.push(nodes.len() as u32);
         }
         NeighborSlices { start, nodes }
     }
 
-    fn of(&self, idx: NodeIdx) -> &[NodeIdx] {
+    pub(crate) fn of(&self, idx: NodeIdx) -> &[T] {
         let i = idx as usize;
         &self.nodes[self.start[i] as usize..self.start[i + 1] as usize]
     }

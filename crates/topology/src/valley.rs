@@ -7,12 +7,21 @@
 //! traffic it is not paid to carry. ASAP's close-cluster-set construction
 //! (paper Fig. 9) is a breadth-first search constrained to valley-free
 //! extensions, so this module is the heart of the protocol substrate.
+//!
+//! The search runs on the product of the graph and the two-phase
+//! automaton. A Fig. 9 build only acts at ASes that originate a cluster,
+//! so [`ReachTable`] records, for a set of target ASes, how many
+//! valley-free hops each automaton state is from the nearest one, and
+//! [`ReachTable::search`] expands only the states that can still reach a
+//! target within the hop bound. It reports the same targets, in the same
+//! order and at the same hops, as the plain search; [`bounded_search`]
+//! is that search with every AS a target.
 
 use std::collections::VecDeque;
 
 use asap_cluster::Asn;
 
-use crate::graph::{AsGraph, EdgeKind};
+use crate::graph::{AsGraph, EdgeKind, NeighborSlices};
 
 /// The state of the valley-free automaton while walking a path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -116,7 +125,8 @@ pub fn bounded_search(
 }
 
 /// [`bounded_search`] from node index `origin_idx`, visiting each reached
-/// AS as `visit(node_idx, hops)`, in the same order.
+/// AS as `visit(node_idx, hops)`, in the same order: the directed search
+/// of [`ReachTable::search`] with every AS a target.
 ///
 /// # Panics
 ///
@@ -125,51 +135,156 @@ pub fn bounded_search_idx(
     graph: &AsGraph,
     origin_idx: u32,
     max_hops: usize,
-    mut visit: impl FnMut(u32, usize) -> Expand,
+    visit: impl FnMut(u32, usize) -> Expand,
 ) {
-    let n = graph.node_count();
-    // seen[phase][node]: already enqueued in this automaton state.
-    let mut seen = vec![[false; 2]; n];
-    // reported[node]: visitor already invoked for this AS.
-    let mut reported = vec![false; n];
-    // pruned[node]: visitor asked not to expand through this AS.
-    let mut pruned = vec![false; n];
+    ReachTable::new(graph, |_| true).search(origin_idx, max_hops, visit);
+}
 
-    let mut queue: VecDeque<(u32, Phase, usize)> = VecDeque::new();
-    // Order matters at hop 0 only conceptually; Up is the start state.
-    seen[origin_idx as usize][0] = true;
-    queue.push_back((origin_idx, Phase::Up, 0));
+/// Marks an automaton state from which no target can be reached.
+const UNREACHABLE: u32 = u32::MAX;
 
-    while let Some((idx, phase, hops)) = queue.pop_front() {
-        if idx != origin_idx && !reported[idx as usize] {
-            reported[idx as usize] = true;
-            if visit(idx, hops) == Expand::Prune {
-                pruned[idx as usize] = true;
-            }
+/// How far every state of the valley-free automaton is from a set of
+/// *target* ASes: for each `(node, phase)`, the fewest further
+/// valley-free hops to a target (0 at a target, in either phase). It
+/// also keeps, per node, the uphill and downhill successor states that
+/// can reach a target at all, in the order [`bounded_search`] tries
+/// them.
+///
+/// Built once per target set by one reverse breadth-first search over
+/// the automaton (O(E)); [`ReachTable::search`] then runs
+/// [`bounded_search`] directed at the targets.
+#[derive(Debug, Clone, Default)]
+pub struct ReachTable {
+    /// `dist[node][phase]`: fewest valley-free hops from that state to a
+    /// target, [`UNREACHABLE`] if there is none.
+    dist: Vec<[u32; 2]>,
+    /// Uphill successors `(next, phase)` of each node, in adjacency order.
+    up: NeighborSlices<(u32, Phase)>,
+    /// Downhill successors of each node (customers and siblings), in
+    /// adjacency order.
+    down: NeighborSlices,
+}
+
+impl ReachTable {
+    /// Builds the table of `graph` for the nodes `is_target` accepts.
+    pub fn new(graph: &AsGraph, is_target: impl Fn(u32) -> bool) -> Self {
+        let n = graph.node_count();
+        let mut dist = vec![[UNREACHABLE; 2]; n];
+        let mut queue = VecDeque::new();
+        for node in (0..n as u32).filter(|&node| is_target(node)) {
+            dist[node as usize] = [0, 0];
+            queue.push_back((node, Phase::Up));
+            queue.push_back((node, Phase::Down));
         }
-        if hops == max_hops || (idx != origin_idx && pruned[idx as usize]) {
-            continue;
-        }
-        let mut push = |next: u32, next_phase: Phase| {
-            let slot = &mut seen[next as usize][next_phase as usize];
-            if !*slot {
-                *slot = true;
-                queue.push_back((next, next_phase, hops + 1));
-            }
-        };
-        match phase {
-            Phase::Up => {
-                for &(next, kind) in graph.neighbors_idx(idx) {
-                    if let Some(next_phase) = phase.step(kind) {
-                        push(next, next_phase);
+        // Walk the automaton backwards: `(prev, prev_phase)` steps to
+        // `(node, phase)` across the link prev → node, which `node` sees
+        // as `kind`.
+        while let Some((node, phase)) = queue.pop_front() {
+            let d = dist[node as usize][phase as usize] + 1;
+            for &(prev, kind) in graph.neighbors_idx(node) {
+                for prev_phase in [Phase::Up, Phase::Down] {
+                    let slot = &mut dist[prev as usize][prev_phase as usize];
+                    if *slot == UNREACHABLE && prev_phase.step(kind.reverse()) == Some(phase) {
+                        *slot = d;
+                        queue.push_back((prev, prev_phase));
                     }
                 }
             }
-            // Downhill, only provider→customer and sibling links extend
-            // the path, and both stay downhill.
-            Phase::Down => {
-                for &next in graph.down_idx(idx) {
-                    push(next, Phase::Down);
+        }
+        let reaches = |node: u32, phase: Phase| dist[node as usize][phase as usize] != UNREACHABLE;
+        let up = NeighborSlices::collect(n, |node, out| {
+            let steps = graph.neighbors_idx(node).iter();
+            out.extend(
+                steps
+                    .filter_map(|&(next, kind)| Some((next, Phase::Up.step(kind)?)))
+                    .filter(|&(next, phase)| reaches(next, phase)),
+            );
+        });
+        // Downhill, only provider→customer and sibling links extend a
+        // path, and both stay downhill.
+        let down = NeighborSlices::collect(n, |node, out| {
+            let steps = graph.down_idx(node).iter().copied();
+            out.extend(steps.filter(|&next| reaches(next, Phase::Down)));
+        });
+        ReachTable { dist, up, down }
+    }
+
+    /// The fewest valley-free hops from node `node`, in automaton state
+    /// `phase`, to a target; `None` if no valley-free path leads to one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not a node index of the table's graph.
+    pub fn hops_to_target(&self, node: u32, phase: Phase) -> Option<usize> {
+        let d = self.dist[node as usize][phase as usize];
+        (d != UNREACHABLE).then_some(d as usize)
+    }
+
+    /// [`bounded_search_idx`] directed at the targets: `visit(node_idx,
+    /// hops)` is invoked for the targets only, and for exactly the
+    /// targets, hops and order the plain search reports whenever its
+    /// visitor prunes at targets only.
+    ///
+    /// A state `(node, phase)` reached at `hops` is *useful* when
+    /// `hops + dist[node][phase] <= max_hops`, and the search enqueues
+    /// useful states only. Every parent of a useful state is useful,
+    /// and a useless state only ever enqueues useless ones, so dropping
+    /// the useless states from the FIFO keeps the relative order of the
+    /// rest. The first dequeued state of a target is useful (its
+    /// distance is 0), so each target is visited when, and at the hops,
+    /// the plain search visits it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `origin_idx` is not a node index of the table's graph.
+    pub fn search(
+        &self,
+        origin_idx: u32,
+        max_hops: usize,
+        mut visit: impl FnMut(u32, usize) -> Expand,
+    ) {
+        // Per node: enqueued uphill, enqueued downhill (the bit of each
+        // phase), visited, and pruned by the visitor.
+        const VISITED: u8 = 4;
+        const PRUNED: u8 = 8;
+        let seen = |phase: Phase| 1u8 << phase as u8;
+        let mut flags = vec![0u8; self.dist.len()];
+        // The origin itself is never visited.
+        flags[origin_idx as usize] = seen(Phase::Up) | VISITED;
+        let mut queue = VecDeque::from([(origin_idx, Phase::Up, 0)]);
+
+        while let Some((idx, phase, hops)) = queue.pop_front() {
+            let f = &mut flags[idx as usize];
+            let is_target = self.dist[idx as usize][Phase::Up as usize] == 0;
+            if *f & VISITED == 0 && is_target {
+                *f |= VISITED;
+                if visit(idx, hops) == Expand::Prune {
+                    *f |= PRUNED;
+                }
+            }
+            if hops == max_hops || *f & PRUNED != 0 {
+                continue;
+            }
+            let mut push = |next: u32, next_phase: Phase| {
+                let bit = seen(next_phase);
+                let useful =
+                    hops + 1 + self.dist[next as usize][next_phase as usize] as usize <= max_hops;
+                let f = &mut flags[next as usize];
+                if *f & bit == 0 && useful {
+                    *f |= bit;
+                    queue.push_back((next, next_phase, hops + 1));
+                }
+            };
+            match phase {
+                Phase::Up => {
+                    for &(next, next_phase) in self.up.of(idx) {
+                        push(next, next_phase);
+                    }
+                }
+                Phase::Down => {
+                    for &next in self.down.of(idx) {
+                        push(next, Phase::Down);
+                    }
                 }
             }
         }

@@ -281,3 +281,95 @@ fn bounded_search_visits_like_the_full_scan() {
         assert_eq!(as_idx, reference);
     });
 }
+
+/// A random graph with a random target mask: each node a target with
+/// probability one in 1..=4, so some masks hold every node.
+fn graph_with_targets(rng: &mut StdRng) -> (AsGraph, Vec<bool>) {
+    let mut g = AsGraph::new();
+    add_random_edges(&mut g, rng, 1..80);
+    let one_in = rng.gen_range(1..5);
+    let target = (0..g.node_count())
+        .map(|_| rng.gen_range(0..one_in) == 0)
+        .collect();
+    (g, target)
+}
+
+/// The directed search against the full scan: the same targets, at the
+/// same hops and in the same order, under a visitor that prunes
+/// targets chosen by a hash of the node.
+#[test]
+fn directed_search_visits_the_targets_of_the_full_scan() {
+    check(256, |rng| {
+        let (g, target) = graph_with_targets(rng);
+        let origin = rng.gen_range(0..g.node_count() as u32);
+        let k = rng.gen_range(0usize..=6);
+        let salt = rng.next_u64();
+        let verdict = |idx: u32| {
+            let h = (u64::from(idx) ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            if h >> 62 == 0 {
+                Expand::Prune
+            } else {
+                Expand::Continue
+            }
+        };
+        let reach = valley::ReachTable::new(&g, |idx| target[idx as usize]);
+        let mut directed = Vec::new();
+        reach.search(origin, k, |idx, hops| {
+            directed.push((idx, hops));
+            verdict(idx)
+        });
+        let mut reference = Vec::new();
+        reference_search(&g, origin, k, |idx, hops| {
+            if !target[idx as usize] {
+                return Expand::Continue;
+            }
+            reference.push((idx, hops));
+            verdict(idx)
+        });
+        assert_eq!(directed, reference);
+    });
+}
+
+/// Each state's distance to the nearest target against brute force:
+/// uphill, the fewest hops at which a plain search from the node
+/// reaches a target (the `valley_free_hops` of the nearest one);
+/// downhill, a fixpoint over provider→customer and sibling links.
+#[test]
+fn reach_table_distances_match_a_brute_force() {
+    check(256, |rng| {
+        let (g, target) = graph_with_targets(rng);
+        let reach = valley::ReachTable::new(&g, |idx| target[idx as usize]);
+        let n = g.node_count();
+        for v in 0..n as u32 {
+            let reached = valley::bounded_search(&g, g.asn_at(v), 2 * n, |_| Expand::Continue);
+            let up = reached
+                .iter()
+                .filter(|r| target[g.index_of(r.asn).unwrap() as usize])
+                .map(|r| r.hops)
+                .chain(target[v as usize].then_some(0))
+                .min();
+            assert_eq!(reach.hops_to_target(v, Phase::Up), up, "node {v} uphill");
+        }
+        let mut down: Vec<Option<usize>> = target.iter().map(|&t| t.then_some(0)).collect();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for v in 0..n {
+                for &(w, kind) in g.neighbors(g.asn_at(v as u32)) {
+                    let Some(via) = down[w as usize].filter(|_| Phase::Down.step(kind).is_some())
+                    else {
+                        continue;
+                    };
+                    if down[v].is_none_or(|d| via + 1 < d) {
+                        down[v] = Some(via + 1);
+                        changed = true;
+                    }
+                }
+            }
+        }
+        for v in 0..n as u32 {
+            let got = reach.hops_to_target(v, Phase::Down);
+            assert_eq!(got, down[v as usize], "node {v} downhill");
+        }
+    });
+}
