@@ -1599,6 +1599,21 @@ mod tests {
         Scenario::build(ScenarioConfig::tiny(), 21)
     }
 
+    /// The tiny world with its best-connected AS congested, so routes
+    /// across it turn latent and calls run relay selection (the
+    /// uncongested tiny world never needs a relay).
+    fn congested_scenario() -> Scenario {
+        let mut s = scenario();
+        let graph = &s.internet.graph;
+        let hub = *graph
+            .asns()
+            .iter()
+            .max_by_key(|&&a| (graph.degree(a), a))
+            .unwrap();
+        s.apply_as_congestion(hub, 400.0, 0.0);
+        s
+    }
+
     /// A cluster with at least `n` members, or a skip.
     fn cluster_with(s: &Scenario, n: usize) -> Option<ClusterId> {
         s.population
@@ -1668,14 +1683,12 @@ mod tests {
 
     #[test]
     fn slow_calls_run_selection() {
-        let s = scenario();
+        let s = congested_scenario();
         let system = AsapSystem::bootstrap(&s, AsapConfig::default());
         let slow = sessions::generate(&s.population, 3000, 2)
             .into_iter()
-            .find(|x| s.host_rtt_ms(x.caller, x.callee).is_some_and(|r| r > 300.0));
-        let Some(slow) = slow else {
-            return; // tiny worlds occasionally have no latent session
-        };
+            .find(|x| s.host_rtt_ms(x.caller, x.callee).is_some_and(|r| r > 300.0))
+            .expect("congestion made some session latent");
         let out = system.call(slow.caller, slow.callee);
         assert!(!out.used_direct);
         assert_eq!(out.degradation, DegradationLevel::FullAsap);
@@ -1868,17 +1881,15 @@ mod tests {
 
     #[test]
     fn probing_rung_serves_calls_without_any_close_set() {
-        let s = scenario();
+        let s = congested_scenario();
         let system = AsapSystem::bootstrap(&s, AsapConfig::default());
         // Every control message is eaten and nothing is cached: fetches
         // land on the probing rung.
         system.set_message_faults(Some(asap_netsim::MessageDrops::new(0.999, 5)));
         let slow = sessions::generate(&s.population, 3000, 2)
             .into_iter()
-            .find(|x| s.host_rtt_ms(x.caller, x.callee).is_some_and(|r| r > 300.0));
-        let Some(slow) = slow else {
-            return; // tiny worlds occasionally have no latent session
-        };
+            .find(|x| s.host_rtt_ms(x.caller, x.callee).is_some_and(|r| r > 300.0))
+            .expect("congestion made some session latent");
         let out = system.call(slow.caller, slow.callee);
         assert!(!out.used_direct);
         assert!(out.selection.is_none(), "no close set means no selection");
@@ -2011,7 +2022,7 @@ mod tests {
 
     #[test]
     fn message_faults_cause_timeouts_but_calls_still_complete() {
-        let s = scenario();
+        let s = congested_scenario();
         let system = AsapSystem::bootstrap(&s, AsapConfig::default());
         system.set_message_faults(Some(asap_netsim::MessageDrops::new(0.9, 77)));
         let sessions = sessions::generate(&s.population, 200, 9);
@@ -2022,9 +2033,7 @@ mod tests {
                 relayed += 1;
             }
         }
-        if relayed == 0 {
-            return; // tiny worlds occasionally have no slow session
-        }
+        assert!(relayed > 0, "congestion made no call relay");
         let rec = system.stats().recovery;
         // 90% drop probability over many fetches must hit some timeouts,
         // and every timeout is accounted as retries + messages + waiting.
@@ -2036,24 +2045,19 @@ mod tests {
 
     #[test]
     fn failover_avoids_dead_relay_and_offline_hosts() {
-        let s = scenario();
+        let s = congested_scenario();
         let system = AsapSystem::bootstrap(&s, AsapConfig::default());
         let slow = sessions::generate(&s.population, 3000, 2)
             .into_iter()
-            .find(|x| s.host_rtt_ms(x.caller, x.callee).is_some_and(|r| r > 300.0));
-        let Some(slow) = slow else {
-            return; // tiny worlds occasionally have no latent session
-        };
+            .find(|x| s.host_rtt_ms(x.caller, x.callee).is_some_and(|r| r > 300.0))
+            .expect("congestion made some session latent");
         let out = system.call(slow.caller, slow.callee);
-        let Some(selection) = out.selection else {
-            return;
-        };
-        let Some(chosen) = out.chosen else {
-            return;
-        };
-        let Some(&dead_relay) = chosen.relays.first() else {
-            return;
-        };
+        let selection = out.selection.expect("latent calls run selection");
+        let dead_relay = out
+            .chosen
+            .and_then(|chosen| chosen.relays.first().copied())
+            .expect("the latent call is relayed");
+        let messages_before = system.stats().recovery.recovery_messages;
         system.crash_host(dead_relay);
         let replacement = system.failover_path(slow.caller, slow.callee, &selection, &[dead_relay]);
         let path = replacement.expect("failover finds some path (direct at worst)");
@@ -2066,7 +2070,10 @@ mod tests {
         }
         let rec = system.stats().recovery;
         assert_eq!(rec.failovers, 1);
-        assert!(rec.recovery_messages >= 2);
+        assert!(
+            rec.recovery_messages >= messages_before + 2,
+            "failover re-ping was not accounted: {rec:?}"
+        );
     }
 
     #[test]
@@ -2227,21 +2234,16 @@ mod tests {
 
     #[test]
     fn busy_relays_are_skipped_until_all_are_saturated() {
-        let s = scenario();
+        let s = congested_scenario();
         let system = AsapSystem::bootstrap(&s, AsapConfig::default());
         let slow = sessions::generate(&s.population, 3000, 2)
             .into_iter()
-            .find(|x| s.host_rtt_ms(x.caller, x.callee).is_some_and(|r| r > 300.0));
-        let Some(slow) = slow else {
-            return; // tiny worlds occasionally have no latent session
-        };
+            .find(|x| s.host_rtt_ms(x.caller, x.callee).is_some_and(|r| r > 300.0))
+            .expect("congestion made some session latent");
         let out = system.call(slow.caller, slow.callee);
-        let (Some(selection), Some(chosen)) = (out.selection, out.chosen) else {
-            return;
-        };
-        if chosen.relays.is_empty() {
-            return;
-        }
+        let selection = out.selection.expect("latent calls run selection");
+        let chosen = out.chosen.expect("the latent call is relayed");
+        assert!(!chosen.relays.is_empty(), "the latent call is relayed");
         // Saturate the winning relay's slots; the re-pick must spill
         // over to a different relay (or go direct via failover), never
         // re-choose the busy one while alternatives exist.
@@ -2298,16 +2300,7 @@ mod tests {
     /// and only admitted fetches reach a surrogate.
     #[test]
     fn overload_meters_follow_capacity_and_account_for_fetches() {
-        // Congest the best-connected AS so that routes across it turn
-        // latent and calls run relay selection.
-        let mut s = scenario();
-        let graph = &s.internet.graph;
-        let hub = *graph
-            .asns()
-            .iter()
-            .max_by_key(|&&a| (graph.degree(a), a))
-            .unwrap();
-        s.apply_as_congestion(hub, 400.0, 0.0);
+        let s = congested_scenario();
         let Some(cluster) = cluster_with(&s, 3) else {
             return; // need a standby to hedge to
         };

@@ -71,16 +71,6 @@ impl Telemetry {
         }
     }
 
-    /// A fresh context whose span tracer buffers JSONL events.
-    pub fn with_event_buffer() -> Self {
-        let registry = Registry::new();
-        Telemetry {
-            spans: SpanTracer::new(registry.clone()).with_sink(EventSink::buffer()),
-            ledger: MessageLedger::new(),
-            registry,
-        }
-    }
-
     /// The metrics registry.
     pub fn registry(&self) -> &Registry {
         &self.registry
