@@ -11,7 +11,7 @@
 
 use asap_bench::{row, section, Args, Scale};
 use asap_cluster::{ClusterLevel, Clustering};
-use asap_netsim::king::{KingConfig, KingEstimator};
+use asap_netsim::king::KingEstimator;
 use asap_topology::rib::{collect_rib, extract_prefix_table, RibConfig};
 
 fn main() {
@@ -48,7 +48,7 @@ fn main() {
     // Step 3-4: delegates + pairwise King measurement.
     section("Pairwise delegate King measurement");
     let delegates: Vec<_> = by_prefix.delegates().collect();
-    let king = KingEstimator::new(&scenario.net, KingConfig::default(), args.seed ^ 0x16);
+    let king = KingEstimator::new(&scenario.net, args.seed ^ 0x16);
     let mut responses = 0u64;
     let mut rtts = Vec::new();
     for i in 0..delegates.len() {

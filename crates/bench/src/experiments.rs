@@ -238,8 +238,6 @@ pub fn chaos_soak_sim(seed: u64, sessions: usize) -> SimConfig {
         call_duration_ms,
         faults: Some(FaultPlanConfig {
             seed,
-            start_ms: 60_000,
-            duration_ms,
             surrogate_crash_per_tick: 0.01,
             host_crash_per_tick: 0.01,
             congestion_per_tick: 0.002,
@@ -248,7 +246,6 @@ pub fn chaos_soak_sim(seed: u64, sessions: usize) -> SimConfig {
             drop_window_ms: (10_000, 40_000),
             stale_close_set_per_tick: 0.002,
             partition_per_tick: 0.01,
-            ..Default::default()
         }),
         caller_skew: 1.0,
         last_call_ms: Some(duration_ms - call_duration_ms),
@@ -377,8 +374,7 @@ impl OverloadSoakReport {
     ) -> OverloadSoakReport {
         let o = &report.overload;
         let accounted = report.calls_completed + report.calls_without_path;
-        let admission_total =
-            o.admitted_fetches + o.queued_fetches + o.shed_queue_full + o.shed_deadline;
+        let admission_total = o.admitted_fetches + o.queued_fetches + o.shed_fetches();
         let bound = u64::from(config.capacity.queue_limit);
         OverloadSoakReport {
             experiment: "overload_soak".to_owned(),

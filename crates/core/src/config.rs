@@ -1,62 +1,6 @@
 //! Protocol configuration.
 
 use asap_netsim::capacity::CapacityConfig;
-use asap_netsim::faults::RetryPolicy;
-use asap_netsim::membership::SuspicionConfig;
-
-/// Membership, replication, and graceful-degradation tunables — the
-/// control-plane survival parameters (beyond the paper, which assumes a
-/// cooperative network).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MembershipConfig {
-    /// Phi-accrual suspicion detector parameters for surrogate and
-    /// bootstrap-replica liveness.
-    pub suspicion: SuspicionConfig,
-    /// Standby surrogates each cluster keeps warm behind its active set
-    /// (the bootstrap replica set); primaries hand off to the best
-    /// online standby on an epoch-numbered quorum handoff instead of
-    /// forcing a cold re-election.
-    pub standbys: usize,
-    /// Maximum age of a cached close set the degradation ladder will
-    /// still serve once fresh fetches fail, virtual ms (the
-    /// stale-close-set rung).
-    pub stale_set_max_age_ms: u64,
-    /// Number of MIX-style deterministic random relay probes on the
-    /// last rung before giving up and going direct.
-    pub mix_probes: usize,
-}
-
-impl Default for MembershipConfig {
-    fn default() -> Self {
-        MembershipConfig {
-            suspicion: SuspicionConfig::default(),
-            standbys: 2,
-            stale_set_max_age_ms: 120_000,
-            mix_probes: 16,
-        }
-    }
-}
-
-impl MembershipConfig {
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        self.suspicion.validate()?;
-        if self.standbys == 0 {
-            return Err("replica set needs at least one standby".into());
-        }
-        if self.stale_set_max_age_ms == 0 {
-            return Err("stale close-set age bound must be positive".into());
-        }
-        if self.mix_probes == 0 {
-            return Err("the probing rung needs at least one probe".into());
-        }
-        Ok(())
-    }
-}
 
 /// The ASAP protocol constants, with the values §6.2/§7.1 of the paper
 /// recommends.
@@ -74,18 +18,10 @@ pub struct AsapConfig {
     /// `sizeT` — if fewer one-hop relay IPs than this are found, two-hop
     /// selection starts (§7.1 sets 300).
     pub size_t: usize,
-    /// How often end hosts publish nodal information to their surrogate,
-    /// in simulated milliseconds (used by the event-driven runtime).
-    pub publish_interval_ms: u64,
     /// Members served per surrogate: clusters elect
     /// `ceil(members / members_per_surrogate)` surrogates, so the few
     /// ~1,000-host clusters share their request load (§6.3).
     pub members_per_surrogate: usize,
-    /// Timeout/retry/backoff schedule for control requests (close-set
-    /// fetches) when messages are being dropped by injected faults.
-    pub retry: RetryPolicy,
-    /// Membership, replication, and graceful-degradation parameters.
-    pub membership: MembershipConfig,
     /// Per-host capacity bounds: relay-call slots, the surrogate
     /// request-rate budget with its bounded deadline-aware admission
     /// queue, and the hedged-fetch delay.
@@ -99,10 +35,7 @@ impl Default for AsapConfig {
             lat_t_ms: 300.0,
             loss_t: 0.05,
             size_t: 300,
-            publish_interval_ms: 60_000,
             members_per_surrogate: 300,
-            retry: RetryPolicy::default(),
-            membership: MembershipConfig::default(),
             capacity: CapacityConfig::default(),
         }
     }
@@ -128,8 +61,6 @@ impl AsapConfig {
         if self.members_per_surrogate == 0 {
             return Err("members_per_surrogate must be at least 1".into());
         }
-        self.retry.validate()?;
-        self.membership.validate()?;
         self.capacity.validate()?;
         Ok(())
     }
@@ -177,33 +108,6 @@ mod tests {
     }
 
     #[test]
-    fn membership_validation_rejects_nonsense() {
-        assert!(MembershipConfig::default().validate().is_ok());
-        assert!(MembershipConfig {
-            standbys: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(MembershipConfig {
-            stale_set_max_age_ms: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(MembershipConfig {
-            mix_probes: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        // Nested suspicion config is validated through AsapConfig too.
-        let mut config = AsapConfig::default();
-        config.membership.suspicion.heartbeat_interval_ms = 0;
-        assert!(config.validate().is_err());
-    }
-
-    #[test]
     fn capacity_validation_flows_through() {
         // Zero capacity (no request budget) must be rejected at
         // construction, not misbehave at runtime.
@@ -213,10 +117,6 @@ mod tests {
         // Zero hedge delay likewise.
         let mut config = AsapConfig::default();
         config.capacity.hedge_delay_ms = 0;
-        assert!(config.validate().is_err());
-        // Zero retry timeout is caught by the nested retry policy.
-        let mut config = AsapConfig::default();
-        config.retry.timeout_ms = 0;
         assert!(config.validate().is_err());
         // A disabled capacity model is still validated.
         let mut config = AsapConfig::default();

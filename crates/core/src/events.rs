@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use asap_cluster::ClusterId;
 use asap_netsim::events::{EventQueue, SimTime};
 use asap_netsim::faults::{FaultKind, FaultPlan, FaultPlanConfig, MessageDrops};
-use asap_netsim::membership::Verdict;
+use asap_netsim::membership::{Verdict, HEARTBEAT_INTERVAL_MS};
 use asap_rng::StdRng;
 use asap_telemetry::{MessageKind, Span, Telemetry};
 use asap_workload::sessions::Session;
@@ -23,6 +23,10 @@ use crate::config::AsapConfig;
 use crate::ladder::DegradationLevel;
 use crate::select::CloseRelaySelection;
 use crate::system::{AsapSystem, OverloadStats, RecoveryStats};
+
+/// How often end hosts publish nodal information to their surrogate,
+/// virtual ms.
+pub const PUBLISH_INTERVAL_MS: u64 = 60_000;
 
 /// Message taxonomy for the load accounting. Derived at the end of a
 /// run from the system's telemetry ledger scope — the simulation no
@@ -88,7 +92,8 @@ pub struct SimConfig {
     pub call_duration_ms: u64,
     /// Optional deterministic fault schedule driven alongside the
     /// workload (crashes, congestion, message drops, stale epochs,
-    /// AS partitions).
+    /// AS partitions), firing from `join_window_ms` until
+    /// `duration_ms`.
     pub faults: Option<FaultPlanConfig>,
     /// Latest time a call may be placed (None = anytime before the end).
     /// Soak runs set `duration_ms - call_duration_ms` so every session
@@ -337,7 +342,8 @@ pub fn run_with(
         let mut asns: Vec<u32> = hosts.iter().map(|h| h.asn.0).collect();
         asns.sort_unstable();
         asns.dedup();
-        let plan = FaultPlan::generate(fc, clusters, hosts.len() as u32, &asns);
+        let window = sim.join_window_ms..sim.duration_ms;
+        let plan = FaultPlan::generate(fc, window, clusters, hosts.len() as u32, &asns);
         for (i, e) in plan.events().iter().enumerate() {
             run.queue.schedule(SimTime(e.at_ms), Event::Fault(i));
         }
@@ -345,16 +351,10 @@ pub fn run_with(
     });
     let plan = plan.unwrap_or_default();
     // Membership sweeps at the heartbeat cadence for the whole run.
-    let hb_interval = system
-        .config()
-        .membership
-        .suspicion
-        .heartbeat_interval_ms
-        .max(1);
-    let mut tick_at = hb_interval;
+    let mut tick_at = HEARTBEAT_INTERVAL_MS;
     while tick_at < sim.duration_ms {
         run.queue.schedule(SimTime(tick_at), Event::MembershipTick);
-        tick_at += hb_interval;
+        tick_at += HEARTBEAT_INTERVAL_MS;
     }
     run.queue.schedule(SimTime(sim.duration_ms), Event::End);
 
@@ -387,18 +387,14 @@ pub fn run_with(
                 let _ = system.join(h);
                 run.report.joined += 1;
                 // First publish happens one interval after joining.
-                run.queue.schedule(
-                    now.after_ms(system.config().publish_interval_ms),
-                    Event::Publish(h),
-                );
+                run.queue
+                    .schedule(now.after_ms(PUBLISH_INTERVAL_MS), Event::Publish(h));
             }
             Event::Publish(h) => {
                 scope.record_for_node(h.0, MessageKind::Publish, 1);
-                if now.as_ms() + system.config().publish_interval_ms <= sim.duration_ms {
-                    run.queue.schedule(
-                        now.after_ms(system.config().publish_interval_ms),
-                        Event::Publish(h),
-                    );
+                if now.as_ms() + PUBLISH_INTERVAL_MS <= sim.duration_ms {
+                    run.queue
+                        .schedule(now.after_ms(PUBLISH_INTERVAL_MS), Event::Publish(h));
                 }
             }
             Event::Call(session) => {
@@ -735,8 +731,7 @@ mod tests {
         let report = run(&s, AsapConfig::default(), &SimConfig::default());
         assert_eq!(report.joined, s.population.hosts().len() as u64);
         // Each host publishes roughly duration/interval times.
-        let expected = report.joined
-            * (SimConfig::default().duration_ms / AsapConfig::default().publish_interval_ms - 1);
+        let expected = report.joined * (SimConfig::default().duration_ms / PUBLISH_INTERVAL_MS - 1);
         assert!(report.messages.publish >= expected / 2, "too few publishes");
     }
 
@@ -771,7 +766,7 @@ mod tests {
         let m = report.messages;
         assert_eq!(
             m.total(),
-            m.join + m.close_set + m.publish + m.election + m.call + m.heartbeat
+            m.join + m.close_set + m.publish + m.election + m.call + m.heartbeat + m.hedge
         );
         assert!(m.total() > 0);
     }

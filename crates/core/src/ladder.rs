@@ -11,17 +11,24 @@
 //! 1. [`DegradationLevel::FullAsap`] — fresh close sets, the paper's
 //!    protocol, AS-aware selection.
 //! 2. [`DegradationLevel::StaleCloseSet`] — a cached close set whose age
-//!    is within [`MembershipConfig::stale_set_max_age_ms`]: AS-aware but
-//!    possibly missing recent re-elections (bounded staleness).
+//!    is within [`STALE_SET_MAX_AGE_MS`]: AS-aware but possibly missing
+//!    recent re-elections (bounded staleness).
 //! 3. [`DegradationLevel::RandomProbe`] — MIX-style deterministic random
-//!    relay probing, AS-blind but requiring no surrogate at all.
+//!    relay probing ([`MIX_PROBES`] draws), AS-blind but requiring no
+//!    surrogate at all.
 //! 4. [`DegradationLevel::DirectOnly`] — the direct path even above
 //!    `latT`: a degraded call beats a dropped one.
 //!
 //! Every downgrade and recovery is recorded so the soak harness can
 //! assert that no cluster gets *stuck* degraded once faults clear.
-//!
-//! [`MembershipConfig::stale_set_max_age_ms`]: crate::config::MembershipConfig::stale_set_max_age_ms
+
+/// Maximum age of a cached close set the stale rung still serves once
+/// fresh fetches fail, virtual ms.
+pub const STALE_SET_MAX_AGE_MS: u64 = 120_000;
+
+/// Deterministic random relay probes the probing rung draws before
+/// giving up and going direct.
+pub const MIX_PROBES: usize = 16;
 
 /// One rung of the service ladder, from full protocol to bare direct
 /// path. Ordered: greater = more degraded.

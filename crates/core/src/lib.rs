@@ -15,8 +15,13 @@
 //!
 //! The crate provides:
 //!
-//! * [`AsapConfig`] — the protocol constants (`k`, `latT`, `lossT`,
-//!   `sizeT`).
+//! * [`AsapConfig`] — the paper's tunables (`k`, `latT`, `lossT`,
+//!   `sizeT`), the surrogate load split and the capacity model. The
+//!   survival machinery beyond the paper runs on named constants instead:
+//!   [`STANDBYS`], [`ladder::STALE_SET_MAX_AGE_MS`],
+//!   [`ladder::MIX_PROBES`], [`events::PUBLISH_INTERVAL_MS`], and the
+//!   detector and retry constants of [`asap_netsim::membership`] and
+//!   [`asap_netsim::faults`].
 //! * [`close_set`] — `construct-close-cluster-set()` (paper Fig. 9): a
 //!   valley-free bounded BFS with latency/loss pruning.
 //! * [`select`] — `select-close-relay()` (paper Fig. 10): one-hop close
@@ -60,9 +65,11 @@ pub mod select;
 mod selector;
 mod system;
 
-pub use config::{AsapConfig, MembershipConfig};
+pub use config::AsapConfig;
 pub use ladder::{DegradationLadder, DegradationLevel};
 pub use parallel::{run_sharded, run_sharded_on, shard_configs, shard_seed};
 pub use replica::ReplicaSet;
 pub use selector::AsapSelector;
-pub use system::{AsapSystem, CallOutcome, FetchResult, OverloadStats, RecoveryStats, SystemStats};
+pub use system::{
+    AsapSystem, CallOutcome, FetchResult, OverloadStats, RecoveryStats, SystemStats, STANDBYS,
+};

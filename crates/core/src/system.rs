@@ -31,14 +31,14 @@ use std::sync::Arc;
 use asap_baselines::RelayPath;
 use asap_cluster::{Asn, ClusterId};
 use asap_netsim::capacity::{Admission, AdmissionQueue, RelaySlots, ShedCause};
-use asap_netsim::faults::MessageDrops;
+use asap_netsim::faults::{backoff_ms, MessageDrops, MAX_RETRIES};
 use asap_netsim::membership::{MembershipView, Verdict};
 use asap_telemetry::{Counter, Gauge, HistogramHandle, LedgerScope, MessageKind, Telemetry};
 use asap_workload::{HostId, Scenario};
 
 use crate::close_set::{construct_close_cluster_set, CloseClusterSet, ClusterIndex};
 use crate::config::AsapConfig;
-use crate::ladder::{DegradationLadder, DegradationLevel};
+use crate::ladder::{DegradationLadder, DegradationLevel, MIX_PROBES, STALE_SET_MAX_AGE_MS};
 use crate::replica::{ReplicaSet, ReplicaTable};
 use crate::select::{select_close_relay, CloseRelaySelection};
 
@@ -380,6 +380,12 @@ impl Meters {
     }
 }
 
+/// Warm standby surrogates each cluster keeps behind its active set (the
+/// bootstrap replica set): a lost primary hands off to the best online
+/// standby on an epoch-numbered quorum handoff instead of forcing a cold
+/// re-election.
+pub const STANDBYS: usize = 2;
+
 /// SplitMix64 finalizer: the deterministic hash behind MIX-style probing.
 fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -443,7 +449,7 @@ impl<'a> AsapSystem<'a> {
             surrogate_load: RefCell::default(),
             offline: RefCell::new(offline),
             message_faults: Cell::new(None),
-            membership: RefCell::new(MembershipView::new(config.membership.suspicion)),
+            membership: RefCell::default(),
             ladders: RefCell::new(vec![DegradationLadder::default(); cluster_count]),
             admissions: RefCell::default(),
             relay_slots,
@@ -730,7 +736,7 @@ impl<'a> AsapSystem<'a> {
             .iter()
             .copied()
             .skip(actives_n)
-            .take(self.config.membership.standbys)
+            .take(STANDBYS)
             .collect();
         ReplicaSet {
             active,
@@ -805,7 +811,7 @@ impl<'a> AsapSystem<'a> {
 
     /// Installs (or clears) an injected control-message drop decider.
     /// While set, close-set fetches may time out and go through the
-    /// [`AsapConfig::retry`] schedule.
+    /// retry schedule of [`asap_netsim::faults::backoff_ms`].
     pub fn set_message_faults(&self, faults: Option<MessageDrops>) {
         self.message_faults.set(faults);
     }
@@ -921,10 +927,9 @@ impl<'a> AsapSystem<'a> {
         }
     }
 
-    /// Tops the standby list back up to the configured size with the
-    /// best usable members not already in the replica set.
+    /// Tops the standby list back up to [`STANDBYS`] with the best
+    /// usable members not already in the replica set.
     fn backfill_standbys(&self, cluster: ClusterId) {
-        let want = self.config.membership.standbys;
         let score = |h: HostId| {
             let host = self.scenario.population.host(h);
             host.nodal.capability() - host.access_ms / 100.0
@@ -934,7 +939,7 @@ impl<'a> AsapSystem<'a> {
                 let rs = &self.replicas.borrow()[cluster];
                 (rs.members(), rs.standbys.len())
             };
-            if have >= want {
+            if have >= STANDBYS {
                 return;
             }
             let candidate = self
@@ -1122,12 +1127,12 @@ impl<'a> AsapSystem<'a> {
     /// surrogate would trigger (bounded-stale cache, then probing), so
     /// overload degrades calls instead of failing them.
     ///
-    /// Admitted fetches go through the [`AsapConfig::retry`] schedule
-    /// against the injected [`MessageDrops`]. Whenever the accumulated
-    /// delay (queueing or retry backoff) crosses the configured hedge
-    /// delay, the fetch is *hedged*: the same request is re-issued to a
-    /// warm standby replica and the first answer wins, with both legs
-    /// metered.
+    /// Admitted fetches go through the retry schedule of
+    /// [`asap_netsim::faults::backoff_ms`] against the injected
+    /// [`MessageDrops`]. Whenever the accumulated delay (queueing or
+    /// retry backoff) crosses the configured hedge delay, the fetch is
+    /// *hedged*: the same request is re-issued to a warm standby replica
+    /// and the first answer wins, with both legs metered.
     pub fn fetch_close_set_degraded(&self, cluster: ClusterId, requester: HostId) -> FetchResult {
         let mut shed = false;
         if self.cluster_control_usable(cluster) {
@@ -1151,11 +1156,10 @@ impl<'a> AsapSystem<'a> {
         // unreachable, or every retry eaten. A cached set of bounded age
         // still beats probing.
         let now = self.now_ms();
-        let cached = self.replicas.borrow().close_set_within(
-            cluster,
-            now,
-            self.config.membership.stale_set_max_age_ms,
-        );
+        let cached = self
+            .replicas
+            .borrow()
+            .close_set_within(cluster, now, STALE_SET_MAX_AGE_MS);
         match cached {
             Some(set) => {
                 self.recovery().stale_sets_served += 1;
@@ -1198,9 +1202,8 @@ impl<'a> AsapSystem<'a> {
         let Some(faults) = self.message_faults.get() else {
             return Some(self.close_set_of(cluster));
         };
-        let retry = self.config.retry;
         let mut waited_total = waited_ms;
-        for attempt in 0..=retry.max_retries {
+        for attempt in 0..=MAX_RETRIES {
             let key =
                 (u64::from(requester.0) << 34) ^ (u64::from(cluster.0) << 8) ^ u64::from(attempt);
             if !faults.drops(key) {
@@ -1209,7 +1212,7 @@ impl<'a> AsapSystem<'a> {
             // The wasted request/reply pair.
             self.scope.record(MessageKind::CloseSetRequest, 1);
             self.scope.record(MessageKind::CloseSetReply, 1);
-            let backoff = retry.backoff_ms(attempt, key);
+            let backoff = backoff_ms(attempt, key);
             {
                 let mut recovery = self.recovery();
                 recovery.timeouts += 1;
@@ -1249,7 +1252,7 @@ impl<'a> AsapSystem<'a> {
         let host_count = self.scenario.population.hosts().len() as u64;
         let mut attempts = 0u64;
         let mut best: Option<RelayPath> = None;
-        for i in 0..self.config.membership.mix_probes {
+        for i in 0..MIX_PROBES {
             let key = (u64::from(caller.0) << 40) ^ (u64::from(callee.0) << 16) ^ i as u64;
             let h = HostId((mix64(key) % host_count) as u32);
             if h == caller || h == callee || !self.host_usable(h) {
@@ -1593,6 +1596,7 @@ impl<'a> AsapSystem<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asap_netsim::membership::HEARTBEAT_INTERVAL_MS;
     use asap_workload::{sessions, ScenarioConfig};
 
     fn scenario() -> Scenario {
@@ -1648,14 +1652,13 @@ mod tests {
     fn bootstrap_keeps_standbys_warm() {
         let s = scenario();
         let system = AsapSystem::bootstrap(&s, AsapConfig::default());
-        let want = AsapConfig::default().membership.standbys;
         for c in s.population.clustering().clusters() {
             let rs = system.replica_set_of(c.id());
             assert!(!rs.active.is_empty());
             assert_eq!(rs.epoch, 0);
-            // Standbys fill up to the configured count, bounded by the
-            // cluster size; none overlaps the active set.
-            let expect = want.min(c.len().saturating_sub(rs.active.len()));
+            // Standbys fill up to STANDBYS, bounded by the cluster
+            // size; none overlaps the active set.
+            let expect = STANDBYS.min(c.len().saturating_sub(rs.active.len()));
             assert_eq!(rs.standbys.len(), expect, "cluster {:?}", c.id());
             for sb in &rs.standbys {
                 assert!(!rs.active.contains(sb));
@@ -1816,7 +1819,7 @@ mod tests {
         assert!(system.silent_crash(victim));
         // Nothing announced the crash: the role is still held.
         assert_eq!(system.surrogate_of(cluster), victim);
-        let interval = system.config().membership.suspicion.heartbeat_interval_ms;
+        let interval = HEARTBEAT_INTERVAL_MS;
         let mut demoted = false;
         for k in 1..=120 {
             if system.membership_tick(k * interval).contains(&victim) {
@@ -1835,7 +1838,7 @@ mod tests {
     fn heartbeating_members_are_never_suspected() {
         let s = scenario();
         let system = AsapSystem::bootstrap(&s, AsapConfig::default());
-        let interval = system.config().membership.suspicion.heartbeat_interval_ms;
+        let interval = HEARTBEAT_INTERVAL_MS;
         for k in 1..=60 {
             let demoted = system.membership_tick(k * interval);
             assert!(demoted.is_empty(), "healthy node demoted at tick {k}");
@@ -1846,8 +1849,7 @@ mod tests {
     #[test]
     fn partition_degrades_fetch_then_heals() {
         let s = scenario();
-        let config = AsapConfig::default();
-        let system = AsapSystem::bootstrap(&s, config);
+        let system = AsapSystem::bootstrap(&s, AsapConfig::default());
         let cluster = s.population.clustering().clusters()[0].id();
         let member = s.population.cluster_members(cluster)[0];
         let asn = s.population.host(member).asn.0;
@@ -1864,7 +1866,7 @@ mod tests {
         assert!(!fetch.shed, "a partition is not an overload shed");
         assert_eq!(system.stats().recovery.stale_sets_served, 1);
         // Once the cached copy ages out, only probing is left.
-        system.advance_to(config.membership.stale_set_max_age_ms + 1);
+        system.advance_to(STALE_SET_MAX_AGE_MS + 1);
         let fetch = system.fetch_close_set_degraded(cluster, member);
         assert_eq!(fetch.level, DegradationLevel::RandomProbe);
         assert!(fetch.set.is_none());
@@ -1872,7 +1874,7 @@ mod tests {
         // delivers heartbeats again, clearing the Dead verdicts the
         // silent 120 s earned every watched node.
         system.heal_as(asn);
-        system.membership_tick(config.membership.stale_set_max_age_ms + 2);
+        system.membership_tick(STALE_SET_MAX_AGE_MS + 2);
         assert!(system.cluster_control_usable(cluster));
         let fetch = system.fetch_close_set_degraded(cluster, member);
         assert_eq!(fetch.level, DegradationLevel::FullAsap);

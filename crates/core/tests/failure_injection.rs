@@ -9,6 +9,31 @@ fn scenario() -> Scenario {
     Scenario::build(ScenarioConfig::tiny(), 404)
 }
 
+/// Tiny world 1, whose multi-homed hosts spread over four ASes (world
+/// 404 puts all of them in one). Checks the property the relay test
+/// needs: two hosts in different multi-homed ASes whose direct route
+/// crosses 4+ ASes, so congesting a middle AS leaves both ends a bypass.
+fn multihomed_world() -> Scenario {
+    let s = Scenario::build(ScenarioConfig::tiny(), 1);
+    let graph = &s.internet.graph;
+    let mut asns: Vec<_> = s
+        .population
+        .hosts()
+        .iter()
+        .map(|h| h.asn)
+        .filter(|&a| graph.is_multi_homed(a))
+        .collect();
+    asns.sort_unstable();
+    asns.dedup();
+    assert!(
+        asns.iter().any(|&a| asns
+            .iter()
+            .any(|&b| s.net.as_path(a, b).is_some_and(|p| p.len() >= 4))),
+        "no two multi-homed host ASes are 4+ ASes apart"
+    );
+    s
+}
+
 #[test]
 fn failing_a_transit_as_degrades_direct_routes_crossing_it() {
     let mut s = scenario();
@@ -31,7 +56,7 @@ fn failing_a_transit_as_degrades_direct_routes_crossing_it() {
 
 #[test]
 fn asap_relays_around_injected_congestion_when_endpoints_are_multihomed() {
-    let mut s = scenario();
+    let mut s = multihomed_world();
     // Find a session whose endpoints are multi-homed (bypassable) and
     // inject heavy congestion into a middle AS of its direct route.
     let sessions = sessions::generate(&s.population, 400, 7);
@@ -66,10 +91,7 @@ fn asap_relays_around_injected_congestion_when_endpoints_are_multihomed() {
         }
         s.net.set_condition(victim, AsCondition::Healthy);
     }
-    let Some((sess, victim)) = injected else {
-        eprintln!("no injectable session in this tiny world — vacuous pass");
-        return;
-    };
+    let (sess, victim) = injected.expect("no sampled session crosses a congestible middle AS");
 
     let system = AsapSystem::bootstrap(&s, AsapConfig::default());
     let outcome = system.call(sess.caller, sess.callee);
@@ -77,14 +99,14 @@ fn asap_relays_around_injected_congestion_when_endpoints_are_multihomed() {
         !outcome.used_direct,
         "direct route crosses the congested {victim}"
     );
-    if let Some(chosen) = &outcome.chosen {
-        if !chosen.relays.is_empty() {
-            assert!(
-                chosen.rtt_ms < outcome.direct_rtt_ms.unwrap(),
-                "relay path must beat the congested direct route"
-            );
-        }
-    }
+    let chosen = outcome
+        .chosen
+        .unwrap_or_else(|| panic!("ASAP found no path around {victim}"));
+    assert!(!chosen.relays.is_empty(), "the chosen path is direct");
+    assert!(
+        chosen.rtt_ms < outcome.direct_rtt_ms.unwrap(),
+        "relay path must beat the congested direct route"
+    );
 }
 
 #[test]

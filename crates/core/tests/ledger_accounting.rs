@@ -22,6 +22,7 @@ use asap_core::events::{run_with, SimConfig};
 use asap_core::{AsapConfig, AsapSystem};
 use asap_netsim::capacity::CapacityConfig;
 use asap_netsim::faults::{FaultPlanConfig, MessageDrops};
+use asap_netsim::membership::HEARTBEAT_INTERVAL_MS;
 use asap_rng::StdRng;
 use asap_telemetry::{LedgerScope, MessageKind, Telemetry};
 use asap_workload::{HostId, Scenario, ScenarioConfig};
@@ -99,7 +100,7 @@ fn call_messages_equal_the_ledger_delta() {
         for capacity in [true, false] {
             let system = AsapSystem::bootstrap(&s, config(capacity));
             let scope = system.ledger_scope();
-            let interval = system.config().membership.suspicion.heartbeat_interval_ms;
+            let interval = HEARTBEAT_INTERVAL_MS;
             let mut rng = StdRng::seed_from_u64(world ^ (u64::from(capacity) << 8));
             for _ in 0..600 {
                 let x = rng.next_u32();

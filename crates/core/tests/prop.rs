@@ -12,7 +12,7 @@ use asap_core::close_set::{
 };
 use asap_core::select::{select_close_relay, CloseRelaySelection, OneHopRelay, TwoHopRelay};
 use asap_core::{AsapConfig, AsapSystem};
-use asap_netsim::{AsCondition, FaultKind, NetModel, RELAY_DELAY_RTT_MS};
+use asap_netsim::{AsCondition, NetModel, RELAY_DELAY_RTT_MS};
 use asap_rng::check::{check, vec};
 use asap_rng::StdRng;
 use asap_topology::valley::{bounded_search, bounded_search_unconstrained, Expand, Reached};
@@ -683,16 +683,12 @@ fn faulted_world(rng: &mut StdRng) -> Scenario {
         .collect();
     let congested = transits[rng.gen_range(0..transits.len())];
     let partitioned = transits[rng.gen_range(0..transits.len())];
-    assert!(scenario.apply_fault(&FaultKind::AsCongestion {
-        asn: congested.0,
+    let congestion = AsCondition::Congested {
         added_rtt_ms: rng.gen_range(20.0..300.0),
         added_loss: rng.gen_range(0.0..0.05),
-        duration_ms: 1,
-    }));
-    assert!(scenario.apply_fault(&FaultKind::AsPartition {
-        asn: partitioned.0,
-        duration_ms: 1,
-    }));
+    };
+    scenario.net.set_condition(congested, congestion);
+    scenario.net.set_condition(partitioned, AsCondition::Failed);
     scenario.net.set_condition(failed, AsCondition::Failed);
     scenario
 }

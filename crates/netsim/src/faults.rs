@@ -12,12 +12,15 @@
 //!   tick from a ChaCha stream (same seed ⇒ byte-identical plan).
 //! * [`MessageDrops`] — a stateless per-message drop decider (hash-based,
 //!   so concurrent queries and replays agree).
-//! * [`RetryPolicy`] — per-request timeout with bounded exponential
-//!   backoff and deterministic jitter, the recovery side of the contract.
+//! * [`backoff_ms`] — per-request timeout ([`RETRY_TIMEOUT_MS`], at most
+//!   [`MAX_RETRIES`] retries) with bounded exponential backoff and
+//!   deterministic jitter, the recovery side of the contract.
 //!
 //! Everything here is pure data and hashing — the *interpretation* of a
 //! fault (who re-elects, which call fails over) belongs to the protocol
 //! layer consuming the plan.
+
+use std::ops::{Range, RangeInclusive};
 
 use asap_rng::ChaCha8Rng;
 
@@ -81,19 +84,28 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// Per-tick fault probabilities and shapes for [`FaultPlan::generate`].
+/// Scheduling granularity of [`FaultPlan::generate`], ms: one Bernoulli
+/// draw per fault category per tick.
+pub const FAULT_TICK_MS: u64 = 1_000;
+
+/// Added RTT range of a congestion burst, ms.
+pub const CONGESTION_RTT_MS: RangeInclusive<f64> = 80.0..=400.0;
+
+/// Added loss range of a congestion burst.
+pub const CONGESTION_LOSS: RangeInclusive<f64> = 0.05..=0.30;
+
+/// Duration range of a congestion burst, ms.
+pub const CONGESTION_DURATION_MS: RangeInclusive<u64> = 10_000..=60_000;
+
+/// Duration range of an AS partition, ms.
+pub const PARTITION_MS: RangeInclusive<u64> = 20_000..=90_000;
+
+/// Per-tick fault probabilities and message-drop shapes for
+/// [`FaultPlan::generate`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlanConfig {
     /// Seed of the ChaCha stream driving the schedule.
     pub seed: u64,
-    /// First tick at which faults may fire, ms (lets the join window
-    /// settle first).
-    pub start_ms: u64,
-    /// End of the fault window, ms (exclusive).
-    pub duration_ms: u64,
-    /// Scheduling granularity, ms (one Bernoulli draw per category per
-    /// tick).
-    pub tick_ms: u64,
     /// Per-tick probability of a surrogate crash (uniform random
     /// cluster).
     pub surrogate_crash_per_tick: f64,
@@ -101,12 +113,6 @@ pub struct FaultPlanConfig {
     pub host_crash_per_tick: f64,
     /// Per-tick probability of an AS congestion burst starting.
     pub congestion_per_tick: f64,
-    /// Added RTT range of a congestion burst, ms.
-    pub congestion_rtt_ms: (f64, f64),
-    /// Added loss range of a congestion burst.
-    pub congestion_loss: (f64, f64),
-    /// Duration range of a congestion burst, ms.
-    pub congestion_duration_ms: (u64, u64),
     /// Per-tick probability of a message-drop window starting.
     pub drop_window_per_tick: f64,
     /// Drop-probability range of a message-drop window.
@@ -117,29 +123,20 @@ pub struct FaultPlanConfig {
     pub stale_close_set_per_tick: f64,
     /// Per-tick probability of an AS partition starting.
     pub partition_per_tick: f64,
-    /// Duration range of an AS partition, ms.
-    pub partition_ms: (u64, u64),
 }
 
 impl Default for FaultPlanConfig {
     fn default() -> Self {
         FaultPlanConfig {
             seed: 0,
-            start_ms: 60_000,
-            duration_ms: 600_000,
-            tick_ms: 1_000,
             surrogate_crash_per_tick: 0.0,
             host_crash_per_tick: 0.0,
             congestion_per_tick: 0.0,
-            congestion_rtt_ms: (80.0, 400.0),
-            congestion_loss: (0.05, 0.30),
-            congestion_duration_ms: (10_000, 60_000),
             drop_window_per_tick: 0.0,
             drop_prob: (0.2, 0.8),
             drop_window_ms: (5_000, 20_000),
             stale_close_set_per_tick: 0.0,
             partition_per_tick: 0.0,
-            partition_ms: (20_000, 90_000),
         }
     }
 }
@@ -152,19 +149,23 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// Generates the schedule for a world of `clusters` clusters,
-    /// `hosts` hosts, and the given AS number pool. Same config and
-    /// world ⇒ identical plan, on every run and platform.
+    /// `hosts` hosts, and the given AS number pool, with faults firing
+    /// on the ticks ([`FAULT_TICK_MS`] apart) from `window.start` up to
+    /// `window.end` (exclusive). Same config, window and world ⇒
+    /// identical plan, on every run and platform; moving only
+    /// `window.end` earlier drops the events at or after it and keeps
+    /// the rest.
     ///
     /// # Panics
     ///
-    /// Panics if `tick_ms` is zero or any probability is outside [0, 1).
+    /// Panics if any probability is outside [0, 1).
     pub fn generate(
         config: &FaultPlanConfig,
+        window: Range<u64>,
         clusters: u32,
         hosts: u32,
         asns: &[u32],
     ) -> FaultPlan {
-        assert!(config.tick_ms > 0, "fault tick must be positive");
         for p in [
             config.surrogate_crash_per_tick,
             config.host_crash_per_tick,
@@ -180,8 +181,8 @@ impl FaultPlan {
         }
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0xFA01_7135);
         let mut events = Vec::new();
-        let mut at = config.start_ms;
-        while at < config.duration_ms {
+        let mut at = window.start;
+        while at < window.end {
             if clusters > 0 && rng.gen_bool(config.surrogate_crash_per_tick) {
                 events.push(FaultEvent {
                     at_ms: at,
@@ -203,13 +204,9 @@ impl FaultPlan {
                     at_ms: at,
                     kind: FaultKind::AsCongestion {
                         asn: asns[rng.gen_range(0..asns.len())],
-                        added_rtt_ms: rng
-                            .gen_range(config.congestion_rtt_ms.0..=config.congestion_rtt_ms.1),
-                        added_loss: rng
-                            .gen_range(config.congestion_loss.0..=config.congestion_loss.1),
-                        duration_ms: rng.gen_range(
-                            config.congestion_duration_ms.0..=config.congestion_duration_ms.1,
-                        ),
+                        added_rtt_ms: rng.gen_range(CONGESTION_RTT_MS),
+                        added_loss: rng.gen_range(CONGESTION_LOSS),
+                        duration_ms: rng.gen_range(CONGESTION_DURATION_MS),
                     },
                 });
             }
@@ -236,11 +233,11 @@ impl FaultPlan {
                     at_ms: at,
                     kind: FaultKind::AsPartition {
                         asn: asns[rng.gen_range(0..asns.len())],
-                        duration_ms: rng.gen_range(config.partition_ms.0..=config.partition_ms.1),
+                        duration_ms: rng.gen_range(PARTITION_MS),
                     },
                 });
             }
-            at += config.tick_ms;
+            at += FAULT_TICK_MS;
         }
         FaultPlan { events }
     }
@@ -291,72 +288,34 @@ impl MessageDrops {
     }
 }
 
-/// Per-request timeout with bounded exponential backoff and
-/// deterministic jitter.
+/// Base timeout of a control request (a close-set fetch), ms.
+pub const RETRY_TIMEOUT_MS: u64 = 400;
+
+/// Retries after the first attempt (total attempts = `MAX_RETRIES + 1`).
+pub const MAX_RETRIES: u32 = 4;
+
+/// Backoff multiplier per retry.
+pub const BACKOFF: f64 = 2.0;
+
+/// Upper bound on any single backoff wait before jitter, ms.
+pub const MAX_BACKOFF_MS: u64 = 5_000;
+
+/// Jitter fraction: each wait is scaled by a factor in
+/// `[1 - JITTER, 1 + JITTER)`.
+pub const JITTER: f64 = 0.1;
+
+/// The wait before retrying after failed attempt `attempt` (0-based).
 ///
-/// Attempt `n` (0-based) waits `timeout_ms * backoff^n`, capped at
-/// `max_backoff_ms`, then ±`jitter` of itself — the jitter drawn by
+/// Attempt `n` waits `RETRY_TIMEOUT_MS * BACKOFF^n`, capped at
+/// [`MAX_BACKOFF_MS`], then ±[`JITTER`] of itself — the jitter drawn by
 /// hashing `(salt, n)`, so the same request retries on the same schedule
 /// in every replay while distinct requests still decorrelate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Base request timeout, ms.
-    pub timeout_ms: u64,
-    /// Retries after the first attempt (total attempts = `max_retries +
-    /// 1`).
-    pub max_retries: u32,
-    /// Backoff multiplier per retry (≥ 1).
-    pub backoff: f64,
-    /// Upper bound on any single backoff wait, ms.
-    pub max_backoff_ms: u64,
-    /// Jitter fraction in [0, 1): each wait is scaled by a factor in
-    /// `[1 - jitter, 1 + jitter)`.
-    pub jitter: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            timeout_ms: 400,
-            max_retries: 4,
-            backoff: 2.0,
-            max_backoff_ms: 5_000,
-            jitter: 0.1,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Validates the policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.timeout_ms == 0 {
-            return Err("retry timeout must be positive".into());
-        }
-        if self.backoff < 1.0 {
-            return Err("backoff multiplier must be at least 1".into());
-        }
-        if !(0.0..1.0).contains(&self.jitter) {
-            return Err("jitter fraction must be in [0, 1)".into());
-        }
-        if self.max_backoff_ms < self.timeout_ms {
-            return Err("max backoff must be at least the base timeout".into());
-        }
-        Ok(())
-    }
-
-    /// The wait before retrying after failed attempt `attempt`
-    /// (0-based), with deterministic jitter keyed by `salt`.
-    pub fn backoff_ms(&self, attempt: u32, salt: u64) -> u64 {
-        let base = (self.timeout_ms as f64) * self.backoff.powi(attempt.min(30) as i32);
-        let capped = base.min(self.max_backoff_ms as f64);
-        let sway = 2.0 * unit(mix(salt, 0x6A77 ^ u64::from(attempt))) - 1.0;
-        let jittered = capped * (1.0 + self.jitter * sway);
-        jittered.max(1.0) as u64
-    }
+pub fn backoff_ms(attempt: u32, salt: u64) -> u64 {
+    let base = (RETRY_TIMEOUT_MS as f64) * BACKOFF.powi(attempt.min(30) as i32);
+    let capped = base.min(MAX_BACKOFF_MS as f64);
+    let sway = 2.0 * unit(mix(salt, 0x6A77 ^ u64::from(attempt))) - 1.0;
+    let jittered = capped * (1.0 + JITTER * sway);
+    jittered.max(1.0) as u64
 }
 
 /// SplitMix64-style avalanche of two words (same family as the latency
@@ -380,11 +339,12 @@ fn unit(h: u64) -> f64 {
 mod tests {
     use super::*;
 
+    /// The window the crashy plans fire in.
+    const WINDOW: Range<u64> = 0..120_000;
+
     fn crashy() -> FaultPlanConfig {
         FaultPlanConfig {
             seed: 7,
-            start_ms: 0,
-            duration_ms: 120_000,
             surrogate_crash_per_tick: 0.05,
             host_crash_per_tick: 0.05,
             congestion_per_tick: 0.02,
@@ -398,12 +358,13 @@ mod tests {
     #[test]
     fn plan_is_seed_reproducible() {
         let config = crashy();
-        let a = FaultPlan::generate(&config, 40, 1_000, &[1, 2, 3]);
-        let b = FaultPlan::generate(&config, 40, 1_000, &[1, 2, 3]);
+        let a = FaultPlan::generate(&config, WINDOW, 40, 1_000, &[1, 2, 3]);
+        let b = FaultPlan::generate(&config, WINDOW, 40, 1_000, &[1, 2, 3]);
         assert_eq!(a, b);
         assert!(!a.is_empty(), "a crashy config must schedule something");
         let other = FaultPlan::generate(
             &FaultPlanConfig { seed: 8, ..config },
+            WINDOW,
             40,
             1_000,
             &[1, 2, 3],
@@ -413,7 +374,7 @@ mod tests {
 
     #[test]
     fn plan_is_sorted_and_in_window() {
-        let plan = FaultPlan::generate(&crashy(), 40, 1_000, &[1, 2, 3]);
+        let plan = FaultPlan::generate(&crashy(), WINDOW, 40, 1_000, &[1, 2, 3]);
         let mut last = 0;
         for e in plan.events() {
             assert!(e.at_ms >= last, "events out of order");
@@ -423,14 +384,28 @@ mod tests {
     }
 
     #[test]
+    fn an_earlier_window_end_keeps_the_events_before_it() {
+        let full = FaultPlan::generate(&crashy(), WINDOW, 40, 1_000, &[1, 2, 3]);
+        let cut = FaultPlan::generate(&crashy(), 0..60_000, 40, 1_000, &[1, 2, 3]);
+        let before: Vec<FaultEvent> = full
+            .events()
+            .iter()
+            .copied()
+            .filter(|e| e.at_ms < 60_000)
+            .collect();
+        assert!(!before.is_empty() && before.len() < full.len());
+        assert_eq!(cut.events(), before.as_slice());
+    }
+
+    #[test]
     fn zero_rates_schedule_nothing() {
-        let plan = FaultPlan::generate(&FaultPlanConfig::default(), 40, 1_000, &[1]);
+        let plan = FaultPlan::generate(&FaultPlanConfig::default(), WINDOW, 40, 1_000, &[1]);
         assert!(plan.is_empty());
     }
 
     #[test]
     fn plan_targets_stay_in_range() {
-        let plan = FaultPlan::generate(&crashy(), 5, 30, &[42, 43]);
+        let plan = FaultPlan::generate(&crashy(), WINDOW, 5, 30, &[42, 43]);
         for e in plan.events() {
             match e.kind {
                 FaultKind::SurrogateCrash { cluster } | FaultKind::StaleCloseSet { cluster } => {
@@ -463,13 +438,11 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_stays_bounded() {
-        let policy = RetryPolicy::default();
-        policy.validate().expect("default policy is valid");
         let mut last = 0;
         for attempt in 0..10 {
-            let wait = policy.backoff_ms(attempt, 5);
+            let wait = backoff_ms(attempt, 5);
             assert!(
-                wait <= policy.max_backoff_ms + policy.max_backoff_ms / 10 + 1,
+                wait <= MAX_BACKOFF_MS + MAX_BACKOFF_MS / 10 + 1,
                 "attempt {attempt} waited {wait} ms"
             );
             if attempt < 3 {
@@ -478,36 +451,8 @@ mod tests {
             last = wait;
         }
         // Deterministic: the same (attempt, salt) always waits the same.
-        assert_eq!(policy.backoff_ms(2, 77), policy.backoff_ms(2, 77));
+        assert_eq!(backoff_ms(2, 77), backoff_ms(2, 77));
         // Jitter decorrelates distinct requests.
-        assert_ne!(policy.backoff_ms(2, 77), policy.backoff_ms(2, 78));
-    }
-
-    #[test]
-    fn retry_validation_rejects_nonsense() {
-        assert!(RetryPolicy {
-            timeout_ms: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(RetryPolicy {
-            backoff: 0.5,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(RetryPolicy {
-            jitter: 1.0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(RetryPolicy {
-            max_backoff_ms: 10,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
+        assert_ne!(backoff_ms(2, 77), backoff_ms(2, 78));
     }
 }

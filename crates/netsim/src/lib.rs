@@ -36,8 +36,8 @@ mod memo;
 mod model;
 
 pub use capacity::{Admission, AdmissionQueue, CapacityConfig, RelaySlots, ShedCause};
-pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultPlanConfig, MessageDrops, RetryPolicy};
-pub use membership::{MembershipView, SuspicionConfig, SuspicionDetector, Verdict};
+pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultPlanConfig, MessageDrops};
+pub use membership::{MembershipView, SuspicionDetector, Verdict};
 pub use model::{AsCondition, NetConfig, NetModel};
 
 /// One-way packet forwarding delay added by an application-layer relay

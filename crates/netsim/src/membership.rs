@@ -23,62 +23,25 @@
 
 use std::collections::BTreeMap;
 
-/// Tunables of the suspicion detector.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SuspicionConfig {
-    /// Expected heartbeat interval, virtual ms. Seeds the inter-arrival
-    /// estimate before any heartbeat pair has been observed.
-    pub heartbeat_interval_ms: u64,
-    /// Sliding window of inter-arrival samples the mean/deviation are
-    /// estimated over.
-    pub window: usize,
-    /// Floor on the inter-arrival standard deviation, ms. Perfectly
-    /// regular simulated heartbeats would otherwise make the detector
-    /// infinitely confident and declare death one tick after a miss.
-    pub min_std_ms: f64,
-    /// Phi at which a node becomes [`Verdict::Suspect`].
-    pub phi_suspect: f64,
-    /// Phi at which a node becomes [`Verdict::Dead`].
-    pub phi_dead: f64,
-}
+/// Expected heartbeat interval, virtual ms: the cadence of the
+/// membership sweep, and the seed and floor of the inter-arrival
+/// estimate.
+pub const HEARTBEAT_INTERVAL_MS: u64 = 1_000;
 
-impl Default for SuspicionConfig {
-    fn default() -> Self {
-        SuspicionConfig {
-            heartbeat_interval_ms: 1_000,
-            window: 64,
-            min_std_ms: 200.0,
-            phi_suspect: 2.0,
-            phi_dead: 8.0,
-        }
-    }
-}
+/// Sliding window of inter-arrival samples the mean/deviation are
+/// estimated over.
+pub const SUSPICION_WINDOW: usize = 64;
 
-impl SuspicionConfig {
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.heartbeat_interval_ms == 0 {
-            return Err("heartbeat interval must be positive".into());
-        }
-        if self.window == 0 {
-            return Err("suspicion window must hold at least one sample".into());
-        }
-        if !(self.min_std_ms > 0.0 && self.min_std_ms.is_finite()) {
-            return Err("minimum deviation must be positive and finite".into());
-        }
-        if !(self.phi_suspect > 0.0 && self.phi_suspect.is_finite()) {
-            return Err("suspect threshold must be positive and finite".into());
-        }
-        if self.phi_dead <= self.phi_suspect {
-            return Err("dead threshold must exceed the suspect threshold".into());
-        }
-        Ok(())
-    }
-}
+/// Floor on the inter-arrival standard deviation, ms. Perfectly regular
+/// simulated heartbeats would otherwise make the detector infinitely
+/// confident and declare death one tick after a miss.
+pub const MIN_STD_MS: f64 = 200.0;
+
+/// Phi at which a node becomes [`Verdict::Suspect`].
+pub const PHI_SUSPECT: f64 = 2.0;
+
+/// Phi at which a node becomes [`Verdict::Dead`].
+pub const PHI_DEAD: f64 = 8.0;
 
 /// The graded liveness verdict on a monitored node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -95,9 +58,12 @@ pub enum Verdict {
 }
 
 /// Phi-accrual suspicion state for one monitored node.
-#[derive(Debug, Clone)]
+///
+/// A detector that has seen no heartbeat yet (the default) answers
+/// [`Verdict::Alive`] (registration grace), because there is no arrival
+/// history to accrue suspicion against.
+#[derive(Debug, Clone, Default)]
 pub struct SuspicionDetector {
-    config: SuspicionConfig,
     /// Last heartbeat arrival, virtual ms (None until the first).
     last_ms: Option<u64>,
     /// Sliding window of observed inter-arrival gaps, ms.
@@ -107,19 +73,6 @@ pub struct SuspicionDetector {
 }
 
 impl SuspicionDetector {
-    /// A detector that has seen no heartbeat yet. Until the first
-    /// heartbeat arrives the verdict is [`Verdict::Alive`] (registration
-    /// grace), because there is no arrival history to accrue suspicion
-    /// against.
-    pub fn new(config: SuspicionConfig) -> Self {
-        SuspicionDetector {
-            config,
-            last_ms: None,
-            gaps: Vec::new(),
-            cursor: 0,
-        }
-    }
-
     /// Records a heartbeat arrival at `now_ms`, resetting suspicion.
     /// Out-of-order arrivals (before the last recorded one) are ignored.
     pub fn heartbeat(&mut self, now_ms: u64) {
@@ -128,12 +81,12 @@ impl SuspicionDetector {
                 return;
             }
             let gap = (now_ms - last) as f64;
-            if self.gaps.len() < self.config.window {
+            if self.gaps.len() < SUSPICION_WINDOW {
                 self.gaps.push(gap);
             } else {
                 self.gaps[self.cursor] = gap;
             }
-            self.cursor = (self.cursor + 1) % self.config.window;
+            self.cursor = (self.cursor + 1) % SUSPICION_WINDOW;
         }
         self.last_ms = Some(now_ms);
     }
@@ -144,13 +97,10 @@ impl SuspicionDetector {
     }
 
     /// Mean and standard deviation of the inter-arrival estimate. Before
-    /// any gap has been observed, the configured interval seeds the mean.
+    /// any gap has been observed, the expected interval seeds the mean.
     fn arrival_estimate(&self) -> (f64, f64) {
         if self.gaps.is_empty() {
-            return (
-                self.config.heartbeat_interval_ms as f64,
-                self.config.min_std_ms,
-            );
+            return (HEARTBEAT_INTERVAL_MS as f64, MIN_STD_MS);
         }
         let n = self.gaps.len() as f64;
         let mean = self.gaps.iter().sum::<f64>() / n;
@@ -160,10 +110,10 @@ impl SuspicionDetector {
             .map(|g| (g - mean) * (g - mean))
             .sum::<f64>()
             / n;
-        // The configured interval also floors the mean: a burst of rapid
+        // The expected interval also floors the mean: a burst of rapid
         // heartbeats must not make the detector hair-triggered.
-        let mean = mean.max(self.config.heartbeat_interval_ms as f64);
-        (mean, var.sqrt().max(self.config.min_std_ms))
+        let mean = mean.max(HEARTBEAT_INTERVAL_MS as f64);
+        (mean, var.sqrt().max(MIN_STD_MS))
     }
 
     /// The suspicion level at `now_ms`: `-log10` of the probability that
@@ -190,9 +140,9 @@ impl SuspicionDetector {
     /// The graded verdict at `now_ms`.
     pub fn verdict(&self, now_ms: u64) -> Verdict {
         let phi = self.phi(now_ms);
-        if phi >= self.config.phi_dead {
+        if phi >= PHI_DEAD {
             Verdict::Dead
-        } else if phi >= self.config.phi_suspect {
+        } else if phi >= PHI_SUSPECT {
             Verdict::Suspect
         } else {
             Verdict::Alive
@@ -221,34 +171,20 @@ fn erfc(x: f64) -> f64 {
 /// order (`BTreeMap`), so sweeps are deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct MembershipView {
-    config: SuspicionConfig,
     detectors: BTreeMap<u32, SuspicionDetector>,
 }
 
 impl MembershipView {
-    /// An empty view with the given detector configuration.
-    pub fn new(config: SuspicionConfig) -> Self {
-        MembershipView {
-            config,
-            detectors: BTreeMap::new(),
-        }
-    }
-
     /// Starts (or keeps) monitoring `node` and records a heartbeat at
     /// `now_ms`.
     pub fn heartbeat(&mut self, node: u32, now_ms: u64) {
-        self.detectors
-            .entry(node)
-            .or_insert_with(|| SuspicionDetector::new(self.config))
-            .heartbeat(now_ms);
+        self.detectors.entry(node).or_default().heartbeat(now_ms);
     }
 
     /// Registers `node` for monitoring without a heartbeat (it enters in
     /// registration grace). No-op if already monitored.
     pub fn watch(&mut self, node: u32) {
-        self.detectors
-            .entry(node)
-            .or_insert_with(|| SuspicionDetector::new(self.config));
+        self.detectors.entry(node).or_default();
     }
 
     /// The suspicion level of `node` at `now_ms`; 0 for unmonitored
@@ -287,8 +223,7 @@ mod tests {
 
     #[test]
     fn regular_heartbeats_stay_alive() {
-        let config = SuspicionConfig::default();
-        let mut d = SuspicionDetector::new(config);
+        let mut d = SuspicionDetector::default();
         for t in (0..60_000).step_by(1_000) {
             d.heartbeat(t);
             assert_eq!(d.verdict(t), Verdict::Alive);
@@ -299,8 +234,7 @@ mod tests {
 
     #[test]
     fn silence_escalates_alive_suspect_dead() {
-        let config = SuspicionConfig::default();
-        let mut d = SuspicionDetector::new(config);
+        let mut d = SuspicionDetector::default();
         for t in (0..10_000).step_by(1_000) {
             d.heartbeat(t);
         }
@@ -325,7 +259,7 @@ mod tests {
 
     #[test]
     fn heartbeat_resets_suspicion() {
-        let mut d = SuspicionDetector::new(SuspicionConfig::default());
+        let mut d = SuspicionDetector::default();
         d.heartbeat(0);
         d.heartbeat(1_000);
         assert!(d.phi(30_000) > 0.0);
@@ -336,7 +270,7 @@ mod tests {
 
     #[test]
     fn phi_is_monotone_in_silence() {
-        let mut d = SuspicionDetector::new(SuspicionConfig::default());
+        let mut d = SuspicionDetector::default();
         for t in (0..5_000).step_by(1_000) {
             d.heartbeat(t);
         }
@@ -350,7 +284,7 @@ mod tests {
 
     #[test]
     fn registration_grace_before_first_heartbeat() {
-        let d = SuspicionDetector::new(SuspicionConfig::default());
+        let d = SuspicionDetector::default();
         assert_eq!(d.phi(1_000_000), 0.0);
         assert_eq!(d.verdict(1_000_000), Verdict::Alive);
         assert_eq!(d.last_heartbeat_ms(), None);
@@ -358,7 +292,7 @@ mod tests {
 
     #[test]
     fn out_of_order_heartbeats_are_ignored() {
-        let mut d = SuspicionDetector::new(SuspicionConfig::default());
+        let mut d = SuspicionDetector::default();
         d.heartbeat(5_000);
         d.heartbeat(1_000); // stale packet
         assert_eq!(d.last_heartbeat_ms(), Some(5_000));
@@ -366,7 +300,7 @@ mod tests {
 
     #[test]
     fn view_sweeps_in_node_order() {
-        let mut view = MembershipView::new(SuspicionConfig::default());
+        let mut view = MembershipView::default();
         for node in [7u32, 3, 11] {
             for t in (0..5_000).step_by(1_000) {
                 view.heartbeat(node, t);
@@ -385,36 +319,6 @@ mod tests {
             .collect();
         assert_eq!(dead, vec![7, 11]);
         assert_eq!(view.verdict(5, 120_000), Verdict::Alive, "unmonitored");
-    }
-
-    #[test]
-    fn config_validation_rejects_nonsense() {
-        assert!(SuspicionConfig::default().validate().is_ok());
-        assert!(SuspicionConfig {
-            heartbeat_interval_ms: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(SuspicionConfig {
-            window: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(SuspicionConfig {
-            min_std_ms: 0.0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(SuspicionConfig {
-            phi_suspect: 5.0,
-            phi_dead: 4.0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
     }
 
     #[test]

@@ -3,7 +3,8 @@
 use std::sync::{Arc, OnceLock};
 
 use asap_netsim::events::{EventQueue, SimTime};
-use asap_netsim::{NetConfig, NetModel, SuspicionConfig, SuspicionDetector, Verdict};
+use asap_netsim::membership::{HEARTBEAT_INTERVAL_MS, PHI_SUSPECT};
+use asap_netsim::{NetConfig, NetModel, SuspicionDetector, Verdict};
 use asap_rng::check::{check, vec};
 use asap_topology::{InternetConfig, InternetGenerator, SyntheticInternet};
 
@@ -154,9 +155,8 @@ fn phi_is_monotone_in_silence() {
         let beats = rng.gen_range(2u64..40);
         let jitter = rng.gen_range(0u64..400);
         let probes = vec(rng, 1..24, |rng| rng.gen_range(1u64..600_000));
-        let config = SuspicionConfig::default();
-        let mut d = SuspicionDetector::new(config);
-        let interval = config.heartbeat_interval_ms;
+        let mut d = SuspicionDetector::default();
+        let interval = HEARTBEAT_INTERVAL_MS;
         let mut now = 0;
         for k in 0..beats {
             now = k * interval + (jitter * k) % 200;
@@ -185,9 +185,8 @@ fn heartbeat_resets_suspicion() {
     check(256, |rng| {
         let beats = rng.gen_range(2u64..20);
         let silence = rng.gen_range(1u64..10_000_000);
-        let config = SuspicionConfig::default();
-        let mut d = SuspicionDetector::new(config);
-        let interval = config.heartbeat_interval_ms;
+        let mut d = SuspicionDetector::default();
+        let interval = HEARTBEAT_INTERVAL_MS;
         for k in 0..beats {
             d.heartbeat(k * interval);
         }
@@ -196,7 +195,7 @@ fn heartbeat_resets_suspicion() {
         d.heartbeat(quiet);
         let after = d.phi(quiet);
         assert!(after <= before);
-        assert!(after < config.phi_suspect);
+        assert!(after < PHI_SUSPECT);
         assert_eq!(d.verdict(quiet), Verdict::Alive);
     });
 }
@@ -208,9 +207,8 @@ fn regular_heartbeater_is_never_suspected() {
     check(256, |rng| {
         let beats = rng.gen_range(3u64..80);
         let jitters = vec(rng, 3..80, |rng| rng.gen_range(0u64..150));
-        let config = SuspicionConfig::default();
-        let mut d = SuspicionDetector::new(config);
-        let interval = config.heartbeat_interval_ms;
+        let mut d = SuspicionDetector::default();
+        let interval = HEARTBEAT_INTERVAL_MS;
         let mut now = 0;
         for k in 0..beats {
             now = k * interval + jitters[k as usize % jitters.len()];

@@ -5,7 +5,6 @@
 use std::sync::Arc;
 
 use asap_cluster::{Asn, ClusterId};
-use asap_netsim::faults::FaultKind;
 use asap_netsim::{AsCondition, NetConfig, NetModel, RELAY_DELAY_RTT_MS};
 use asap_topology::{InternetConfig, InternetGenerator, SyntheticInternet};
 
@@ -209,39 +208,6 @@ impl Scenario {
         self.net.set_condition(asn, AsCondition::Healthy);
         true
     }
-
-    /// Partitions `asn` from the rest of the network: every path
-    /// crossing it fails until [`Scenario::clear_as_condition`] heals it.
-    /// No-op (returning `false`) when the AS is not in the topology.
-    pub fn apply_as_partition(&mut self, asn: Asn) -> bool {
-        if self.net.internet().graph.index_of(asn).is_none() {
-            return false;
-        }
-        self.net.set_condition(asn, AsCondition::Failed);
-        true
-    }
-
-    /// Applies a scheduled fault to the live network model, for
-    /// owned-scenario experiment drivers. Only network-level faults
-    /// change anything here ([`FaultKind::AsCongestion`] and
-    /// [`FaultKind::AsPartition`]); host- and protocol-level faults
-    /// (crashes, message drops, stale epochs) belong to the protocol
-    /// runtime and return `false` untouched.
-    pub fn apply_fault(&mut self, kind: &FaultKind) -> bool {
-        match *kind {
-            FaultKind::AsCongestion {
-                asn,
-                added_rtt_ms,
-                added_loss,
-                ..
-            } => self.apply_as_congestion(Asn(asn), added_rtt_ms, added_loss),
-            FaultKind::AsPartition { asn, .. } => self.apply_as_partition(Asn(asn)),
-            FaultKind::SurrogateCrash { .. }
-            | FaultKind::HostCrash { .. }
-            | FaultKind::MessageDropWindow { .. }
-            | FaultKind::StaleCloseSet { .. } => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -321,13 +287,7 @@ mod tests {
         // Make sure we start from a healthy AS so before/after compare.
         assert!(s.clear_as_condition(asn));
         let baseline = s.host_rtt_ms(a, b).unwrap();
-        let fault = FaultKind::AsCongestion {
-            asn: asn.0,
-            added_rtt_ms: 250.0,
-            added_loss: 0.2,
-            duration_ms: 30_000,
-        };
-        assert!(s.apply_fault(&fault));
+        assert!(s.apply_as_congestion(asn, 250.0, 0.2));
         let congested = s.host_rtt_ms(a, b).unwrap();
         assert!(
             congested >= baseline + 250.0 - 1e-9,
@@ -335,8 +295,6 @@ mod tests {
         );
         assert!(s.clear_as_condition(asn));
         assert_eq!(s.host_rtt_ms(a, b).unwrap(), baseline);
-        // Protocol-level faults leave the network model alone.
-        assert!(!s.apply_fault(&FaultKind::HostCrash { host: 0 }));
         let _ = before;
     }
 }
