@@ -11,10 +11,20 @@ use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// Side of a square tile of entries, in slots. A 4 KiB tile fits the
-/// heap holes a routing-tree build leaves behind: with glibc's malloc on
-/// x86-64 Linux, 32-slot (16 KiB) tiles left the eval-scale
-/// `latent_compare` benchmark's peak RSS about 0.7 MiB higher.
+/// Side of a square tile of entries, in slots: 16 gives 4 KiB tiles.
+/// Peak RSS (MiB, median of 3 to 5 perfbench runs, glibc malloc on
+/// x86-64 Linux) with sides 8 / 16 / 32:
+///
+/// | run | 8 | 16 | 32 |
+/// |---|---|---|---|
+/// | `latent_compare --seed 7` | 29.5 | 30.3 | 30.3 |
+/// | `latent_compare --seed 3` | 30.0 | 29.7 | 29.9 |
+/// | `latent_compare --seed 11` | 30.3 | 29.7 | 29.8 |
+/// | `soak --seed 7` | 18.9 | 19.0 | 19.0 |
+/// | `soak --seed 3` | 18.8 | 19.1 | 19.1 |
+///
+/// No side is lowest at every seed, so the gaps follow allocation order
+/// rather than tile size, and 16 stays.
 const TILE: usize = 16;
 /// The slot of an AS no query has touched yet.
 const NO_SLOT: u32 = u32::MAX;

@@ -1,5 +1,6 @@
 //! The AS-level latency and loss model.
 
+use std::iter;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -101,13 +102,15 @@ impl Default for NetConfig {
 /// entities involved, so the model is a pure function: the same query
 /// always returns the same answer, queries never interfere, and the whole
 /// model is `Send + Sync`. Queries take no lock: each destination's BGP
-/// routing tree is built once behind its own `OnceLock`, and a route
-/// query walks that tree by node index, reading coordinates, tiers and
-/// AS conditions by index, so it allocates nothing and hashes only its
-/// two endpoints. The answer is then memoized by ordered AS pair, so a
-/// repeat query reads two slot indices and one table entry instead of
-/// walking. [`NetModel::set_condition`], the one way to change an
-/// answer, drops that memo; the trees never change.
+/// routing tree is built once behind its own `OnceLock`, over the
+/// transit core only, and a route query walks that tree by node index:
+/// it derives the first hop once when the source is a leaf AS, then
+/// follows core next hops, reading coordinates, tiers and AS conditions
+/// by index, so it allocates nothing and hashes only its two endpoints.
+/// The answer is then memoized by ordered AS pair, so a repeat query
+/// reads two slot indices and one table entry instead of walking.
+/// [`NetModel::set_condition`], the one way to change an answer, drops
+/// that memo; the trees never change.
 ///
 /// ```
 /// use asap_netsim::{NetConfig, NetModel};
@@ -285,22 +288,20 @@ impl NetModel {
     fn walk(&self, src: u32, dest: u32) -> Option<(f64, f64)> {
         let graph = &self.internet.graph;
         let (a, b) = (graph.asn_at(src), graph.asn_at(dest));
-        let tree = self.router.tree_idx(graph, dest);
-        if !tree.routable_idx(src) {
-            return None;
-        }
+        let route = self.router.tree_idx(graph, dest).route_idx(src)?;
         let mut one_way = 0.0;
         let mut extra_rtt = 0.0;
         let mut loss = self.base_pair_loss(a, b);
         let mut congested = false;
         let mut x = src;
+        let mut hops = route.clone();
         loop {
             match self.conditions[x as usize] {
                 AsCondition::Healthy => {}
                 AsCondition::Congested { .. } => congested = true,
                 AsCondition::Failed => return Some((self.config.failure_rtt_ms, 1.0)),
             }
-            let Some(y) = tree.next_hop_idx(x) else {
+            let Some(y) = hops.next() else {
                 break;
             };
             let d = self.internet.distance_idx(x, y);
@@ -312,8 +313,7 @@ impl NetModel {
         }
         // Condition terms come after every link term, in path order.
         if congested {
-            let mut hop = Some(src);
-            while let Some(x) = hop {
+            for x in iter::once(src).chain(route) {
                 if let AsCondition::Congested {
                     added_rtt_ms,
                     added_loss,
@@ -322,7 +322,6 @@ impl NetModel {
                     extra_rtt += added_rtt_ms;
                     loss += added_loss;
                 }
-                hop = tree.next_hop_idx(x);
             }
         }
         let rtt = (2.0 * one_way + extra_rtt) * self.pair_jitter_factor(a, b);

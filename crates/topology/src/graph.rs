@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use asap_cluster::Asn;
 
@@ -129,16 +129,131 @@ impl Hasher for AsnHasher {
     }
 }
 
-/// The adjacency split by the direction a route can use each edge.
-/// Sibling links go both up and down.
+/// Views of the adjacency derived on first use.
 #[derive(Debug, Clone, Default)]
 struct KindSplit {
-    /// Customer→provider and sibling neighbors.
-    up: NeighborSlices,
-    /// Peering neighbors.
-    peer: NeighborSlices,
-    /// Provider→customer and sibling neighbors.
+    /// Provider→customer and sibling neighbors, for the valley-free
+    /// searches.
     down: NeighborSlices,
+    /// The core and its slices, derived on the first routing-tree build.
+    core: OnceLock<Arc<CoreSplit>>,
+}
+
+/// Whether a route climbs an edge of this kind: customer→provider and
+/// sibling edges.
+fn climbs(kind: EdgeKind) -> bool {
+    matches!(
+        kind,
+        EdgeKind::CustomerToProvider | EdgeKind::SiblingToSibling
+    )
+}
+
+/// Whether a route descends an edge of this kind: provider→customer and
+/// sibling edges.
+fn descends(kind: EdgeKind) -> bool {
+    matches!(
+        kind,
+        EdgeKind::ProviderToCustomer | EdgeKind::SiblingToSibling
+    )
+}
+
+/// The [`CoreSplit::slot`] of a leaf.
+pub(crate) const LEAF: u32 = u32::MAX;
+
+/// The transit core of the graph, with its neighbor slices in slot
+/// space.
+///
+/// A *leaf* is an AS with no customers and no siblings; every other AS
+/// is in the *core*. Core ASes are numbered by *slot* in node index
+/// order. A leaf never exports a route to anyone but its own customers
+/// and siblings, and it has none, so BGP propagation runs over the core
+/// alone and each leaf's route is derived from its neighbors' (see
+/// `routing`).
+#[derive(Debug)]
+pub(crate) struct CoreSplit {
+    /// Per node: its slot, or [`LEAF`].
+    slot: Vec<u32>,
+    /// Per slot: its node index.
+    pub(crate) node: Vec<NodeIdx>,
+    /// Per slot: core providers and siblings, as slots, in adjacency
+    /// order.
+    pub(crate) up: NeighborSlices,
+    /// Per slot: core peers, as slots, in adjacency order.
+    pub(crate) peer: NeighborSlices,
+    /// Per slot: core customers and siblings, as slots, in adjacency
+    /// order.
+    pub(crate) down: NeighborSlices,
+    /// Per node, empty for a core node: a leaf's providers, as slots,
+    /// by ascending ASN.
+    pub(crate) leaf_providers: NeighborSlices,
+    /// Per node, empty for a core node: a leaf's peers, as node indices,
+    /// by ascending ASN.
+    pub(crate) leaf_peers: NeighborSlices,
+}
+
+impl CoreSplit {
+    fn new(asns: &[Asn], adj: &[Vec<(NodeIdx, EdgeKind)>]) -> Self {
+        let mut slot = vec![LEAF; adj.len()];
+        let mut node = Vec::new();
+        for (i, nbrs) in (0..).zip(adj) {
+            if nbrs.iter().any(|&(_, k)| descends(k)) {
+                slot[i as usize] = node.len() as u32;
+                node.push(i);
+            }
+        }
+        // A core route visits each core AS at most once, so its hop
+        // count, a `u16` in each tree, is at most the core's size.
+        assert!(
+            node.len() < usize::from(u16::MAX),
+            "a core of {} ASes overflows a routing tree's hop counts",
+            node.len()
+        );
+        let in_core = |keep: fn(EdgeKind) -> bool| {
+            NeighborSlices::collect(node.len(), |s, out| {
+                let nbrs = adj[node[s as usize] as usize].iter();
+                let kept = nbrs.filter(|&&(n, k)| keep(k) && slot[n as usize] != LEAF);
+                out.extend(kept.map(|&(n, _)| slot[n as usize]));
+            })
+        };
+        let up = in_core(climbs);
+        let peer = in_core(|k| k == EdgeKind::PeerToPeer);
+        let down = in_core(descends);
+        let leaf_lists = |kind: EdgeKind| {
+            NeighborSlices::collect(adj.len(), |i, out| {
+                if slot[i as usize] == LEAF {
+                    let start = out.len();
+                    let nbrs = adj[i as usize].iter().filter(|&&(_, k)| k == kind);
+                    out.extend(nbrs.map(|&(n, _)| n));
+                    out[start..].sort_unstable_by_key(|&n| asns[n as usize]);
+                }
+            })
+        };
+        let leaf_peers = leaf_lists(EdgeKind::PeerToPeer);
+        // A leaf's providers have a customer, so every one has a slot.
+        let mut leaf_providers = leaf_lists(EdgeKind::CustomerToProvider);
+        for n in &mut leaf_providers.nodes {
+            *n = slot[*n as usize];
+        }
+        CoreSplit {
+            slot,
+            node,
+            up,
+            peer,
+            down,
+            leaf_providers,
+            leaf_peers,
+        }
+    }
+
+    /// The slot of node `idx`, or [`LEAF`].
+    pub(crate) fn slot(&self, idx: NodeIdx) -> u32 {
+        self.slot[idx as usize]
+    }
+
+    /// The node index of slot `s`.
+    pub(crate) fn node(&self, s: u32) -> NodeIdx {
+        self.node[s as usize]
+    }
 }
 
 /// An annotated AS-level graph of the Internet.
@@ -261,29 +376,21 @@ impl AsGraph {
 
     fn split(&self) -> &KindSplit {
         self.split.get_or_init(|| KindSplit {
-            up: NeighborSlices::filter(&self.adj, |k| {
-                matches!(k, EdgeKind::CustomerToProvider | EdgeKind::SiblingToSibling)
-            }),
-            peer: NeighborSlices::filter(&self.adj, |k| k == EdgeKind::PeerToPeer),
-            down: NeighborSlices::filter(&self.adj, |k| {
-                matches!(k, EdgeKind::ProviderToCustomer | EdgeKind::SiblingToSibling)
-            }),
+            down: NeighborSlices::filter(&self.adj, descends),
+            core: OnceLock::new(),
         })
-    }
-
-    /// The providers and siblings of node `idx`, in adjacency order.
-    pub(crate) fn up_idx(&self, idx: NodeIdx) -> &[NodeIdx] {
-        self.split().up.of(idx)
-    }
-
-    /// The peers of node `idx`, in adjacency order.
-    pub(crate) fn peers_idx(&self, idx: NodeIdx) -> &[NodeIdx] {
-        self.split().peer.of(idx)
     }
 
     /// The customers and siblings of node `idx`, in adjacency order.
     pub(crate) fn down_idx(&self, idx: NodeIdx) -> &[NodeIdx] {
         self.split().down.of(idx)
+    }
+
+    /// The transit core and its slices, derived on first use.
+    pub(crate) fn core(&self) -> &Arc<CoreSplit> {
+        self.split()
+            .core
+            .get_or_init(|| Arc::new(CoreSplit::new(&self.asns, &self.adj)))
     }
 
     /// The annotation of edge `a → b`, if the adjacency exists.

@@ -15,12 +15,13 @@
 //! relays exploit.
 
 use std::collections::VecDeque;
+use std::iter;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use asap_cluster::Asn;
 
-use crate::graph::AsGraph;
+use crate::graph::{AsGraph, CoreSplit, LEAF};
 use crate::valley;
 
 /// How a route was learned, in decreasing order of preference.
@@ -36,28 +37,45 @@ pub enum RouteClass {
 
 const NO_ROUTE: u32 = u32::MAX;
 
+/// One AS's route towards a tree's destination.
+#[derive(Debug, Clone, Copy)]
+struct Route {
+    /// Node index of the next hop; `NO_ROUTE` if the AS has no route.
+    next: u32,
+    /// AS links to the destination.
+    hops: u16,
+    class: RouteClass,
+}
+
+impl Route {
+    /// No route. Its class is not `Customer`, so it never exports.
+    const NONE: Route = Route {
+        next: NO_ROUTE,
+        hops: 0,
+        class: RouteClass::Provider,
+    };
+
+    fn routed(&self) -> bool {
+        self.next != NO_ROUTE
+    }
+}
+
 /// All routes towards one destination AS: for every source AS, the next
-/// hop, and on demand the route class and the AS-hop count.
+/// hop, the route class and the AS-hop count.
 ///
-/// A route walk reads only the next hops, so a tree keeps only those.
-/// The first [`RoutingTree::class_from`] or [`RoutingTree::hops_from`]
-/// call re-runs this destination's propagation to fill the other two
-/// (a fill that [`BgpRouter::cache_stats`] does not count).
+/// A tree stores the routes of the transit core only (see
+/// [`BgpRouter`]), one 8-byte entry per core AS. A leaf's route, and so
+/// the first hop of a walk from a leaf, is derived from its neighbors'
+/// entries when asked. Past its first hop, every route runs through the
+/// core.
 #[derive(Debug, Clone)]
 pub struct RoutingTree {
     dest: Asn,
     dest_idx: u32,
-    /// Per node index: next hop towards the destination (NO_ROUTE if
-    /// unreachable).
-    next_hop: Vec<u32>,
-    detail: OnceLock<RouteDetail>,
-}
-
-/// Per node index: the route class and hop count of a [`RoutingTree`].
-#[derive(Debug, Clone)]
-struct RouteDetail {
-    class: Vec<RouteClass>,
-    hops: Vec<u8>,
+    core: Arc<CoreSplit>,
+    /// Per core slot: that AS's route. The destination's own entry, if
+    /// it is in the core, is a 0-hop customer route to itself.
+    routes: Box<[Route]>,
 }
 
 impl RoutingTree {
@@ -69,18 +87,30 @@ impl RoutingTree {
     /// Whether node index `src` has a policy-compliant route to the
     /// destination (the destination itself always does).
     pub fn routable_idx(&self, src: u32) -> bool {
-        src == self.dest_idx || self.next_hop[src as usize] != NO_ROUTE
+        src == self.dest_idx || self.route_at(src).is_some()
     }
 
     /// The next hop from node index `src` towards the destination, or
-    /// `None` at the destination and at nodes with no route. Following
-    /// it from a routable node walks the policy route without building
-    /// a path.
+    /// `None` at the destination and at nodes with no route.
     pub fn next_hop_idx(&self, src: u32) -> Option<u32> {
-        match self.next_hop[src as usize] {
-            NO_ROUTE => None,
-            next => Some(next),
+        if src == self.dest_idx {
+            return None;
         }
+        self.route_at(src).map(|r| r.next)
+    }
+
+    /// The policy route from node index `src`: the node indices after
+    /// `src`, ending at the destination (none from the destination
+    /// itself), or `None` if `src` has no route. The first hop is
+    /// resolved here, once; a clone of the iterator walks the route
+    /// again without resolving it again.
+    pub fn route_idx(&self, src: u32) -> Option<RouteHops<'_>> {
+        let next = if src == self.dest_idx {
+            None
+        } else {
+            Some(self.route_at(src)?.next)
+        };
+        Some(RouteHops { tree: self, next })
     }
 
     /// Whether `src` has any policy-compliant route to the destination.
@@ -94,8 +124,7 @@ impl RoutingTree {
         if i == self.dest_idx {
             return Some(0);
         }
-        self.next_hop_idx(i)?;
-        Some(self.detail(graph).hops[i as usize] as usize)
+        self.route_at(i).map(|r| usize::from(r.hops))
     }
 
     /// The route class at `src`, if routable.
@@ -104,30 +133,95 @@ impl RoutingTree {
         if i == self.dest_idx {
             return Some(RouteClass::Customer);
         }
-        self.next_hop_idx(i)?;
-        Some(self.detail(graph).class[i as usize])
-    }
-
-    /// Classes and hop counts, from a second propagation run on first use.
-    fn detail(&self, graph: &AsGraph) -> &RouteDetail {
-        self.detail
-            .get_or_init(|| propagate(graph, self.dest_idx).1)
+        self.route_at(i).map(|r| r.class)
     }
 
     /// The full AS path from `src` to the destination (inclusive on both
     /// ends), if routable.
     pub fn path_from(&self, graph: &AsGraph, src: Asn) -> Option<Vec<Asn>> {
-        let mut i = graph.index_of(src)?;
-        if !self.routable_idx(i) {
-            return None;
-        }
-        let mut path = vec![graph.asn_at(i)];
-        while let Some(next) = self.next_hop_idx(i) {
-            i = next;
-            path.push(graph.asn_at(i));
-            debug_assert!(path.len() <= graph.node_count() + 1, "routing loop");
-        }
+        let i = graph.index_of(src)?;
+        let hops = self.route_idx(i)?.take(graph.node_count());
+        let path: Vec<Asn> = iter::once(i).chain(hops).map(|x| graph.asn_at(x)).collect();
+        debug_assert_eq!(path.last(), Some(&self.dest), "routing loop");
         Some(path)
+    }
+
+    /// The route of node `src`, which is not the destination: its core
+    /// entry, or a leaf's derived route.
+    fn route_at(&self, src: u32) -> Option<Route> {
+        match self.core.slot(src) {
+            LEAF => self.leaf_route(src),
+            s => Some(self.routes[s as usize]).filter(Route::routed),
+        }
+    }
+
+    /// The route of leaf `leaf`, which is not the destination.
+    ///
+    /// A leaf is offered routes only by neighbors that export to it: a
+    /// peer holding a customer route (or the destination) across the
+    /// peering, and any routed provider down to its customer. It prefers
+    /// a peer route to a provider route, then fewer hops, then the lower
+    /// next-hop ASN, as propagation does. Both lists are sorted by ASN,
+    /// so the first of the fewest hops wins.
+    fn leaf_route(&self, leaf: u32) -> Option<Route> {
+        let core = &*self.core;
+        let best_peer = core
+            .leaf_peers
+            .of(leaf)
+            .iter()
+            .filter_map(|&peer| {
+                if peer == self.dest_idx {
+                    return Some((0, peer));
+                }
+                match core.slot(peer) {
+                    LEAF => None,
+                    s => {
+                        let r = self.routes[s as usize];
+                        (r.class == RouteClass::Customer).then_some((r.hops, peer))
+                    }
+                }
+            })
+            .min_by_key(|&(hops, _)| hops);
+        if let Some((hops, next)) = best_peer {
+            return Some(Route {
+                next,
+                hops: hops + 1,
+                class: RouteClass::Peer,
+            });
+        }
+        core.leaf_providers
+            .of(leaf)
+            .iter()
+            .filter_map(|&s| {
+                let r = self.routes[s as usize];
+                r.routed().then_some((r.hops, s))
+            })
+            .min_by_key(|&(hops, _)| hops)
+            .map(|(hops, s)| Route {
+                next: core.node(s),
+                hops: hops + 1,
+                class: RouteClass::Provider,
+            })
+    }
+}
+
+/// The node indices of a policy route after its source, ending at the
+/// destination; see [`RoutingTree::route_idx`].
+#[derive(Debug, Clone)]
+pub struct RouteHops<'a> {
+    tree: &'a RoutingTree,
+    next: Option<u32>,
+}
+
+impl Iterator for RouteHops<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        let x = self.next?;
+        let tree = self.tree;
+        // Past its source, a route runs through the core.
+        self.next = (x != tree.dest_idx).then(|| tree.routes[tree.core.slot(x) as usize].next);
+        Some(x)
     }
 }
 
@@ -138,9 +232,12 @@ impl RoutingTree {
 /// destination node, so every method takes `&self` and threads share
 /// one router without a lock: each tree is built at most once, and a
 /// thread that races a build waits for it instead of building again.
-/// A cached tree holds one `u32` next hop per node; the route classes
-/// and hop counts that only [`BgpRouter::as_hops`] and
-/// [`RoutingTree::class_from`] read are rebuilt on their first use.
+///
+/// A tree build propagates routes over the graph's transit core (the
+/// ASes with a customer or a sibling) plus the destination, and a
+/// cached tree keeps one next hop, hop count and class per core AS.
+/// A leaf's route is derived from its neighbors' when a query starts
+/// from it.
 ///
 /// ```
 /// use asap_topology::{AsGraph, EdgeKind, routing::BgpRouter};
@@ -172,10 +269,9 @@ impl BgpRouter {
     }
 
     /// `(hits, misses)` of the routing-tree cache: a miss computes a
-    /// full tree, a hit answers from the memo. Every tree lookup counts
+    /// tree, a hit answers from the memo. Every tree lookup counts
     /// exactly once, and a destination costs exactly one miss even when
-    /// threads race to build it. The lazy class and hop-count fill of a
-    /// cached tree is not a lookup and counts nothing.
+    /// threads race to build it.
     pub fn cache_stats(&self) -> (u64, u64) {
         (
             self.cache_hits.load(Ordering::Relaxed),
@@ -236,18 +332,19 @@ impl BgpRouter {
     }
 }
 
-/// The routing tree towards `dest_idx`, keeping only its next hops.
+/// The routing tree towards `dest_idx`.
 fn compute_tree(graph: &AsGraph, dest_idx: u32) -> RoutingTree {
+    let core = Arc::clone(graph.core());
     RoutingTree {
         dest: graph.asn_at(dest_idx),
         dest_idx,
-        next_hop: propagate(graph, dest_idx).0,
-        detail: OnceLock::new(),
+        routes: propagate(graph, &core, dest_idx),
+        core,
     }
 }
 
-/// Computes every node's next hop, route class and hop count towards
-/// `dest` with three-stage propagation:
+/// Computes every core AS's route towards `dest_idx` with three-stage
+/// propagation:
 ///
 /// 1. **Customer routes** climb from the destination through
 ///    customer→provider links (every AS gladly carries traffic *to* its
@@ -259,121 +356,109 @@ fn compute_tree(graph: &AsGraph, dest_idx: u32) -> RoutingTree {
 ///    its customers, recursively.
 ///
 /// Sibling links propagate routes in every stage without changing class.
-/// Each stage walks only the neighbor slice its edges come from (see
-/// `AsGraph::up_idx` and its siblings), in adjacency order, so it visits
-/// the same candidates in the same order as a scan of every neighbor.
-fn propagate(graph: &AsGraph, dest_idx: u32) -> (Vec<u32>, RouteDetail) {
-    let n = graph.node_count();
-    let mut next_hop = vec![NO_ROUTE; n];
-    let mut class = vec![RouteClass::Provider; n];
-    let mut hops = vec![0u8; n];
-    let mut has_route = vec![false; n];
+/// Each stage walks only the core slices its edges come from. A leaf
+/// other than the destination exports nothing: stage 1 climbs only to
+/// providers and siblings, and a leaf is nobody's provider or sibling;
+/// stage 2 exports only customer routes, which only that climb hands
+/// out; stage 3 descends to customers and siblings, and a leaf has
+/// none. So the core's routes do not depend on the leaves, and a leaf
+/// destination takes part only through its first exports.
+///
+/// Every stage settles on the same routes in any visiting order: an AS
+/// keeps the best offer it hears by (class, hops, next-hop ASN), and
+/// the last offer each exporter sends carries its final hop count.
+fn propagate(graph: &AsGraph, core: &CoreSplit, dest_idx: u32) -> Box<[Route]> {
+    let mut routes = vec![Route::NONE; core.node.len()];
+    let via = |x: u32, hops: u16, class| Route {
+        next: x,
+        hops: hops + 1,
+        class,
+    };
 
-    // Stage 1: customer routes (BFS uphill from dest).
-    has_route[dest_idx as usize] = true;
+    // Stage 1: customer routes (BFS uphill from dest). A leaf
+    // destination has no slot: its exports, to its providers here and
+    // its core peers in stage 2, are made up front.
+    let dest_slot = core.slot(dest_idx);
     let mut frontier = VecDeque::new();
-    frontier.push_back(dest_idx);
-    while let Some(x) = frontier.pop_front() {
-        let x_hops = if x == dest_idx {
-            0
-        } else {
-            hops[x as usize] as usize
-        };
-        // Export x's customer route to x's providers and siblings.
-        for &y in graph.up_idx(x) {
-            if y == dest_idx {
-                continue;
+    if dest_slot == LEAF {
+        let route = via(dest_idx, 0, RouteClass::Customer);
+        for &y in core.leaf_providers.of(dest_idx) {
+            if offer(graph, &mut routes, y, route) {
+                frontier.push_back(y);
             }
-            let yi = y as usize;
-            let candidate_hops = x_hops + 1;
-            let better = !has_route[yi]
-                || (class[yi] == RouteClass::Customer
-                    && ((hops[yi] as usize) > candidate_hops
-                        || (hops[yi] as usize == candidate_hops
-                            && graph.asn_at(next_hop[yi]) > graph.asn_at(x))));
-            if better {
-                let first_time = !has_route[yi];
-                has_route[yi] = true;
-                class[yi] = RouteClass::Customer;
-                hops[yi] = candidate_hops as u8;
-                next_hop[yi] = x;
-                if first_time || (hops[yi] as usize) == candidate_hops {
-                    frontier.push_back(y);
-                }
+        }
+    } else {
+        routes[dest_slot as usize] = Route {
+            next: dest_idx,
+            hops: 0,
+            class: RouteClass::Customer,
+        };
+        frontier.push_back(dest_slot);
+    }
+    while let Some(x) = frontier.pop_front() {
+        let route = via(core.node(x), routes[x as usize].hops, RouteClass::Customer);
+        // Export x's customer route to x's providers and siblings.
+        for &y in core.up.of(x) {
+            if offer(graph, &mut routes, y, route) {
+                frontier.push_back(y);
             }
         }
     }
 
-    // Stage 2: peer routes. Snapshot customer-route holders first so a
-    // freshly assigned peer route is never re-exported.
-    let holders: Vec<u32> = (0..n as u32)
-        .filter(|&i| {
-            i == dest_idx || (has_route[i as usize] && class[i as usize] == RouteClass::Customer)
-        })
-        .collect();
-    for x in holders {
-        let x_hops = if x == dest_idx {
-            0
-        } else {
-            hops[x as usize] as usize
-        };
-        for &y in graph.peers_idx(x) {
-            if y == dest_idx {
-                continue;
+    // Stage 2: peer routes. A peer route is never re-exported: only a
+    // customer route holder exports, and no stage-2 offer makes one.
+    if dest_slot == LEAF {
+        let route = via(dest_idx, 0, RouteClass::Peer);
+        for &peer in core.leaf_peers.of(dest_idx) {
+            let y = core.slot(peer);
+            if y != LEAF {
+                offer(graph, &mut routes, y, route);
             }
-            let yi = y as usize;
-            let candidate_hops = x_hops + 1;
-            let better = !has_route[yi]
-                || (class[yi] == RouteClass::Peer
-                    && ((hops[yi] as usize) > candidate_hops
-                        || (hops[yi] as usize == candidate_hops
-                            && graph.asn_at(next_hop[yi]) > graph.asn_at(x))));
-            if better {
-                has_route[yi] = true;
-                class[yi] = RouteClass::Peer;
-                hops[yi] = candidate_hops as u8;
-                next_hop[yi] = x;
+        }
+    }
+    for x in 0..core.node.len() as u32 {
+        let Route { hops, class, .. } = routes[x as usize];
+        if class == RouteClass::Customer {
+            let route = via(core.node(x), hops, RouteClass::Peer);
+            for &y in core.peer.of(x) {
+                offer(graph, &mut routes, y, route);
             }
         }
     }
 
     // Stage 3: provider routes (BFS downhill from every route holder).
-    let mut frontier: VecDeque<u32> = (0..n as u32)
-        .filter(|&i| i == dest_idx || has_route[i as usize])
-        .collect();
+    frontier.extend((0..core.node.len() as u32).filter(|&x| routes[x as usize].routed()));
     while let Some(x) = frontier.pop_front() {
-        let x_hops = if x == dest_idx {
-            0
-        } else {
-            hops[x as usize] as usize
-        };
+        let route = via(core.node(x), routes[x as usize].hops, RouteClass::Provider);
         // Export x's route to x's customers and siblings.
-        for &y in graph.down_idx(x) {
-            if y == dest_idx {
-                continue;
-            }
-            let yi = y as usize;
-            let candidate_hops = x_hops + 1;
-            let better = !has_route[yi]
-                || (class[yi] == RouteClass::Provider
-                    && class[x as usize] <= RouteClass::Provider
-                    && ((hops[yi] as usize) > candidate_hops
-                        || (hops[yi] as usize == candidate_hops
-                            && graph.asn_at(next_hop[yi]) > graph.asn_at(x))));
-            if better && (!has_route[yi] || class[yi] == RouteClass::Provider) {
-                let improved = !has_route[yi] || (hops[yi] as usize) > candidate_hops;
-                has_route[yi] = true;
-                class[yi] = RouteClass::Provider;
-                hops[yi] = candidate_hops.min(u8::MAX as usize) as u8;
-                next_hop[yi] = x;
-                if improved {
-                    frontier.push_back(y);
-                }
+        for &y in core.down.of(x) {
+            if offer(graph, &mut routes, y, route) {
+                frontier.push_back(y);
             }
         }
     }
 
-    (next_hop, RouteDetail { class, hops })
+    routes.into_boxed_slice()
+}
+
+/// Offers slot `y` the route `offer`. It replaces y's route when y has
+/// none, or has one of the same class that is longer, or as long
+/// through a higher next-hop ASN. Returns whether y had no route or its
+/// hop count fell, the cases in which y's own exports change.
+fn offer(graph: &AsGraph, routes: &mut [Route], y: u32, offer: Route) -> bool {
+    let r = &mut routes[y as usize];
+    if !r.routed() {
+        *r = offer;
+        return true;
+    }
+    if r.class != offer.class {
+        return false;
+    }
+    let fewer = r.hops > offer.hops;
+    if fewer || (r.hops == offer.hops && graph.asn_at(r.next) > graph.asn_at(offer.next)) {
+        *r = offer;
+    }
+    fewer
 }
 
 /// Convenience check used by tests and property suites: every realized
@@ -510,6 +595,103 @@ mod tests {
         assert_eq!(via_b, 4); // 2 + 2: equal hops here, but avoids the core I.
         assert!(r.path(&g, Asn(1), Asn(3)).unwrap().contains(&Asn(9)));
         assert!(!r.path(&g, Asn(1), Asn(2)).unwrap().contains(&Asn(9)));
+    }
+
+    /// A 301-AS provider chain, `0 → 300` in each direction: hop counts
+    /// past 255 neither wrap nor clamp.
+    #[test]
+    fn long_chains_count_every_hop() {
+        for top_down in [true, false] {
+            let mut g = AsGraph::new();
+            for i in 0..300 {
+                let (provider, customer) = if top_down { (i + 1, i) } else { (i, i + 1) };
+                g.add_edge(Asn(provider), Asn(customer), p2c());
+            }
+            let r = BgpRouter::new(&g);
+            let tree = r.tree(&g, Asn(0));
+            let class = if top_down {
+                RouteClass::Customer
+            } else {
+                RouteClass::Provider
+            };
+            assert_eq!(tree.class_from(&g, Asn(300)), Some(class));
+            assert_eq!(r.as_hops(&g, Asn(300), Asn(0)), Some(300));
+            assert_eq!(r.as_hops(&g, Asn(0), Asn(300)), Some(300));
+            assert_eq!(r.path(&g, Asn(300), Asn(0)).map(|p| p.len()), Some(301));
+        }
+    }
+
+    /// Leaf 9's peer 5 holds a customer route (5 → 6 → 1), so 9 takes it
+    /// over the one-hop route down from its provider 1, the destination.
+    #[test]
+    fn leaf_prefers_a_peer_customer_route_to_a_shorter_provider_route() {
+        let mut g = AsGraph::new();
+        g.add_edge(Asn(1), Asn(9), p2c());
+        g.add_edge(Asn(9), Asn(5), EdgeKind::PeerToPeer);
+        g.add_edge(Asn(5), Asn(6), p2c());
+        g.add_edge(Asn(6), Asn(1), p2c());
+        let r = BgpRouter::new(&g);
+        let tree = r.tree(&g, Asn(1));
+        assert_eq!(tree.class_from(&g, Asn(9)), Some(RouteClass::Peer));
+        assert_eq!(tree.hops_from(&g, Asn(9)), Some(3));
+        assert_eq!(
+            tree.path_from(&g, Asn(9)),
+            Some(vec![Asn(9), Asn(5), Asn(6), Asn(1)])
+        );
+    }
+
+    /// Leaf 9's providers 7, 4 and 8 are each one hop above destination
+    /// 1; the lowest ASN wins, whatever the adjacency or index order.
+    #[test]
+    fn leaf_breaks_equal_provider_hops_by_lower_asn() {
+        let mut g = AsGraph::new();
+        for provider in [7, 4, 8] {
+            g.add_edge(Asn(provider), Asn(9), p2c());
+            g.add_edge(Asn(provider), Asn(1), p2c());
+        }
+        let r = BgpRouter::new(&g);
+        let tree = r.tree(&g, Asn(1));
+        assert_eq!(tree.class_from(&g, Asn(9)), Some(RouteClass::Provider));
+        assert_eq!(
+            tree.path_from(&g, Asn(9)),
+            Some(vec![Asn(9), Asn(4), Asn(1)])
+        );
+    }
+
+    /// Leaf destination 1 peers with core AS 2 and leaf 3: both take a
+    /// one-hop peer route, and 2's customer 4 a provider route through 2.
+    #[test]
+    fn leaf_destination_exports_across_its_peerings() {
+        let mut g = AsGraph::new();
+        g.add_edge(Asn(1), Asn(2), EdgeKind::PeerToPeer);
+        g.add_edge(Asn(1), Asn(3), EdgeKind::PeerToPeer);
+        g.add_edge(Asn(2), Asn(4), p2c());
+        let r = BgpRouter::new(&g);
+        let tree = r.tree(&g, Asn(1));
+        for peer in [2, 3] {
+            assert_eq!(tree.class_from(&g, Asn(peer)), Some(RouteClass::Peer));
+            assert_eq!(r.path(&g, Asn(peer), Asn(1)), Some(vec![Asn(peer), Asn(1)]));
+        }
+        assert_eq!(tree.class_from(&g, Asn(4)), Some(RouteClass::Provider));
+        assert_eq!(
+            r.path(&g, Asn(4), Asn(1)),
+            Some(vec![Asn(4), Asn(2), Asn(1)])
+        );
+    }
+
+    /// Leaf 3's only link is a peering with leaf 2, which holds just a
+    /// provider route to 1: 2 exports nothing across it.
+    #[test]
+    fn leaf_leaf_peering_alone_gives_no_route() {
+        let mut g = AsGraph::new();
+        g.add_edge(Asn(3), Asn(2), EdgeKind::PeerToPeer);
+        g.add_edge(Asn(1), Asn(2), p2c());
+        let r = BgpRouter::new(&g);
+        let tree = r.tree(&g, Asn(1));
+        assert!(tree.reachable(&g, Asn(2)));
+        assert!(!tree.reachable(&g, Asn(3)));
+        assert_eq!(r.path(&g, Asn(3), Asn(1)), None);
+        assert_eq!(r.as_hops(&g, Asn(3), Asn(1)), None);
     }
 
     #[test]

@@ -112,7 +112,7 @@ fn reference_tree(graph: &AsGraph, dest: u32) -> Vec<NodeRoute> {
                 let improved = !has_route[yi] || hops[yi] > candidate;
                 has_route[yi] = true;
                 class[yi] = RouteClass::Provider;
-                hops[yi] = candidate.min(u8::MAX as usize);
+                hops[yi] = candidate;
                 next_hop[yi] = x;
                 if improved {
                     frontier.push_back(y);
@@ -132,23 +132,26 @@ fn reference_tree(graph: &AsGraph, dest: u32) -> Vec<NodeRoute> {
         .collect()
 }
 
-/// Every tree `router` builds on `graph`, read node by node through the
-/// public accessors.
+/// The tree `router` builds towards `dest`, read node by node through
+/// the public accessors.
+fn router_tree(graph: &AsGraph, router: &BgpRouter, dest: u32) -> Vec<NodeRoute> {
+    let tree = router.tree_idx(graph, dest);
+    graph
+        .asns()
+        .iter()
+        .enumerate()
+        .map(|(i, &asn)| {
+            let class = tree.class_from(graph, asn)?;
+            let hops = tree.hops_from(graph, asn)?;
+            Some((tree.next_hop_idx(i as u32), class, hops))
+        })
+        .collect()
+}
+
+/// Every tree `router` builds on `graph`.
 fn router_trees(graph: &AsGraph, router: &BgpRouter) -> Vec<Vec<NodeRoute>> {
     (0..graph.node_count() as u32)
-        .map(|dest| {
-            let tree = router.tree_idx(graph, dest);
-            graph
-                .asns()
-                .iter()
-                .enumerate()
-                .map(|(i, &asn)| {
-                    let class = tree.class_from(graph, asn)?;
-                    let hops = tree.hops_from(graph, asn)?;
-                    Some((tree.next_hop_idx(i as u32), class, hops))
-                })
-                .collect()
-        })
+        .map(|dest| router_tree(graph, router, dest))
         .collect()
 }
 
@@ -169,6 +172,26 @@ fn every_tree_of_a_tiny_world_matches_the_full_scan() {
         routed > net.graph.node_count(),
         "trees route almost nothing"
     );
+}
+
+/// Every tree of the default-config graph, the 4,030-AS world of the
+/// eval-scale scenarios, matches the full scan node by node. Run with
+/// `cargo test --release -p asap-topology -- --ignored`.
+#[test]
+#[ignore = "eval scale: run in release with --ignored"]
+fn every_tree_of_the_default_world_matches_the_full_scan() {
+    // `Scenario::build`'s topology seed for scenario seed 1.
+    let net = InternetGenerator::new(InternetConfig::default(), 1 ^ 0x7090).generate();
+    let graph = &net.graph;
+    assert_eq!(graph.node_count(), 4030);
+    let router = BgpRouter::new(graph);
+    for dest in 0..graph.node_count() as u32 {
+        let tree = router_tree(graph, &router, dest);
+        assert!(
+            tree == reference_tree(graph, dest),
+            "tree towards node {dest}"
+        );
+    }
 }
 
 /// Provider-to-customer edges three times as often as each other kind.
