@@ -42,8 +42,8 @@ fn chaos_soak_json_is_byte_identical_across_runs() {
 
 #[test]
 fn telemetry_snapshot_is_byte_identical_across_runs() {
-    // The whole telemetry pipeline — ledger scopes, per-cluster/per-node
-    // attribution, histograms, span durations — must serialize to the
+    // The whole telemetry pipeline — ledger scopes and their per-kind
+    // counts, histograms, span durations — must serialize to the
     // same bytes when the same seed drives the same schedule.
     let scenario = tiny_scenario(5);
     let snap = |_: ()| {

@@ -28,6 +28,14 @@ use crate::system::{AsapSystem, OverloadStats, RecoveryStats};
 /// virtual ms.
 pub const PUBLISH_INTERVAL_MS: u64 = 60_000;
 
+/// The nodal-information publishes a host that joins at `join_ms` sends
+/// in a run that ends at `duration_ms`: one every
+/// [`PUBLISH_INTERVAL_MS`] after joining, each strictly before the end
+/// (the run stops at its end time, before anything else due then).
+fn publishes_before_end(join_ms: u64, duration_ms: u64) -> u64 {
+    duration_ms.saturating_sub(join_ms + 1) / PUBLISH_INTERVAL_MS
+}
+
 /// Message taxonomy for the load accounting. Derived at the end of a
 /// run from the system's telemetry ledger scope — the simulation no
 /// longer keeps parallel counters — by folding the typed
@@ -229,8 +237,9 @@ impl SimReport {
 /// Events driving the protocol simulation.
 #[derive(Debug, Clone, Copy)]
 enum Event {
+    /// A host joins, and its publishes for the rest of the run are
+    /// counted at once: each only adds to the ledger.
     Join(HostId),
-    Publish(HostId),
     Call(Session),
     FailSurrogate(u32),
     /// A scheduled fault fires (index into the [`FaultPlan`]).
@@ -386,16 +395,10 @@ pub fn run_with(
             Event::Join(h) => {
                 let _ = system.join(h);
                 run.report.joined += 1;
-                // First publish happens one interval after joining.
-                run.queue
-                    .schedule(now.after_ms(PUBLISH_INTERVAL_MS), Event::Publish(h));
-            }
-            Event::Publish(h) => {
-                scope.record_for_node(h.0, MessageKind::Publish, 1);
-                if now.as_ms() + PUBLISH_INTERVAL_MS <= sim.duration_ms {
-                    run.queue
-                        .schedule(now.after_ms(PUBLISH_INTERVAL_MS), Event::Publish(h));
-                }
+                scope.record(
+                    MessageKind::Publish,
+                    publishes_before_end(now.as_ms(), sim.duration_ms),
+                );
             }
             Event::Call(session) => {
                 let outcome = system.call(session.caller, session.callee);
@@ -733,6 +736,27 @@ mod tests {
         // Each host publishes roughly duration/interval times.
         let expected = report.joined * (SimConfig::default().duration_ms / PUBLISH_INTERVAL_MS - 1);
         assert!(report.messages.publish >= expected / 2, "too few publishes");
+    }
+
+    #[test]
+    fn publishes_due_at_the_end_are_not_sent() {
+        const P: u64 = PUBLISH_INTERVAL_MS;
+        let end = 10 * P;
+        // A join exactly one interval before the end: its first publish
+        // is due at the end, so none is sent.
+        assert_eq!(publishes_before_end(end - P, end), 0);
+        // Less than one interval before the end: none either.
+        assert_eq!(publishes_before_end(end - P + 1, end), 0);
+        assert_eq!(publishes_before_end(end - 1, end), 0);
+        // Just over one interval before: exactly one.
+        assert_eq!(publishes_before_end(end - P - 1, end), 1);
+        // The end an exact multiple of intervals after the join: the
+        // last one is due at the end and dropped.
+        assert_eq!(publishes_before_end(0, end), 9);
+        assert_eq!(publishes_before_end(3 * P, end), 6);
+        // Joining at or after the end sends nothing.
+        assert_eq!(publishes_before_end(end, end), 0);
+        assert_eq!(publishes_before_end(end + P, end), 0);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! * a [`SpanTracer`] for sim-time spans — scoped timers keyed on the
 //!   virtual clock, never the wall clock, with an optional JSONL
 //!   [`EventSink`];
-//! * a [`MessageLedger`] of typed control-plane [`MessageKind`]s with
-//!   per-scope, per-cluster, and per-node attribution — the single
-//!   source of truth for the paper's overhead figures (Fig. 18, §6.3).
+//! * a [`MessageLedger`] of typed control-plane [`MessageKind`]s, one
+//!   counter per kind in each named scope — the single source of truth
+//!   for the paper's overhead figures (Fig. 18, §6.3).
 //!
 //! # Determinism contract
 //!
@@ -162,9 +162,7 @@ mod tests {
         a.registry().histogram("rtt").record(10.0);
         b.registry().histogram("rtt").record(20.0);
         a.ledger().scope("ASAP").record(MessageKind::Heartbeat, 2);
-        b.ledger()
-            .scope("ASAP")
-            .record_for_cluster(9, MessageKind::Heartbeat, 5);
+        b.ledger().scope("ASAP").record(MessageKind::Heartbeat, 5);
         a.merge_from(&b);
         let snap = a.snapshot();
         assert_eq!(snap.metrics.counters["calls"], 7);
@@ -172,7 +170,6 @@ mod tests {
         assert_eq!(snap.metrics.gauges["depth"], 7);
         assert_eq!(snap.metrics.histograms["rtt"].count, 2);
         assert_eq!(snap.messages["ASAP"].kinds["heartbeat"], 7);
-        assert_eq!(snap.messages["ASAP"].clusters[&9]["heartbeat"], 5);
     }
 
     #[test]

@@ -6,8 +6,7 @@
 use asap_rng::check::{check, vec};
 use asap_rng::StdRng;
 use asap_telemetry::{
-    bucket_bounds, bucket_index, Histogram, MessageKind, Telemetry, BUCKETS, MESSAGE_KINDS,
-    OVERFLOW, UNDERFLOW,
+    bucket_bounds, bucket_index, Histogram, Telemetry, BUCKETS, MESSAGE_KINDS, OVERFLOW, UNDERFLOW,
 };
 
 /// One shard's worth of synthetic telemetry activity.
@@ -50,7 +49,7 @@ fn apply_feed(t: &Telemetry, feed: &ShardFeed) {
     for &(kind, n) in &feed.ledger_records {
         t.ledger()
             .scope("S")
-            .record_for_cluster(u32::from(kind), MESSAGE_KINDS[kind as usize], n);
+            .record(MESSAGE_KINDS[kind as usize], n);
     }
 }
 
@@ -249,24 +248,4 @@ fn gauge_merge_keeps_high_water_mark() {
     c.registry().gauge("depth").raise(40);
     a.merge_from(&c);
     assert_eq!(a.registry().gauge("depth").get(), 40);
-}
-
-#[test]
-fn ledger_merge_sums_attribution_maps() {
-    let a = Telemetry::new();
-    let b = Telemetry::new();
-    a.ledger()
-        .scope("S")
-        .record_for_node(3, MessageKind::Heartbeat, 2);
-    b.ledger()
-        .scope("S")
-        .record_for_node(3, MessageKind::Heartbeat, 5);
-    b.ledger()
-        .scope("S")
-        .record_for_node(8, MessageKind::Publish, 1);
-    a.merge_from(&b);
-    let snap = a.ledger().snapshot();
-    assert_eq!(snap["S"].nodes[&3]["heartbeat"], 7);
-    assert_eq!(snap["S"].nodes[&8]["publish"], 1);
-    assert_eq!(snap["S"].total, 8);
 }
