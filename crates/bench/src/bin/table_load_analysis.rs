@@ -68,6 +68,8 @@ fn main() {
     row(&[&"publish msgs", &m.publish]);
     row(&[&"election msgs", &m.election]);
     row(&[&"call msgs", &m.call]);
+    row(&[&"heartbeat msgs", &m.heartbeat]);
+    row(&[&"hedge msgs", &m.hedge]);
     row(&[&"total msgs", &m.total()]);
     let per_host_per_min = m.total() as f64
         / scenario.population.hosts().len() as f64
