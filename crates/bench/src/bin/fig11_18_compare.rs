@@ -17,7 +17,6 @@ use asap_core::{AsapConfig, AsapSelector, AsapSystem};
 use asap_telemetry::{HistogramHandle, Telemetry};
 use asap_voip::{emodel::EModel, Codec, QualityRequirement};
 use asap_workload::sessions;
-use asap_workload::trace::SessionRecord;
 
 struct MethodResult {
     name: &'static str,
@@ -90,7 +89,6 @@ fn main() {
         .iter()
         .map(|n| MethodResult::new(n, &telemetry))
         .collect();
-    let mut records: Vec<SessionRecord> = Vec::new();
 
     // OPT is exhaustive per session; cap the comparison set so the eval
     // scale finishes in minutes.
@@ -98,7 +96,7 @@ fn main() {
     // Paired (ASAP, OPT) shortest RTTs on the sessions where ASAP found a
     // relay, for a same-session-set comparison.
     let mut paired: Vec<(f64, f64)> = Vec::new();
-    for (i, s) in latent.iter().take(take).enumerate() {
+    for s in latent.iter().take(take) {
         // Each selector's message spend is metered as the delta of its
         // ledger scope across the call — there is no per-outcome counter.
         let outs: Vec<(SelectionOutcome, u64)> = vec![
@@ -114,19 +112,6 @@ fn main() {
         }
         for (r, (out, spent)) in results.iter_mut().zip(&outs) {
             r.record(out, *spent, &model);
-            records.push(SessionRecord {
-                experiment: "fig11_18".into(),
-                method: r.name.into(),
-                session: i as u32,
-                direct_rtt_ms: s.direct_rtt_ms,
-                quality_paths: out.quality_paths,
-                shortest_rtt_ms: out.best.as_ref().map(|b| b.rtt_ms),
-                highest_mos: out
-                    .best
-                    .as_ref()
-                    .map(|b| model.mos_from_rtt(b.rtt_ms, 0.005)),
-                messages: *spent,
-            });
         }
     }
 
@@ -258,12 +243,4 @@ fn main() {
     }
 
     args.write_metrics(&telemetry);
-
-    // Dump the raw rows for EXPERIMENTS.md tooling.
-    if let Ok(path) = std::env::var("ASAP_TRACE_OUT") {
-        let file = std::fs::File::create(&path).expect("create trace output");
-        asap_workload::trace::write_jsonl(std::io::BufWriter::new(file), &records)
-            .expect("write trace");
-        eprintln!("fig11_18: wrote {} records to {path}", records.len());
-    }
 }

@@ -142,7 +142,7 @@ impl Default for SimConfig {
 /// What the protocol simulation observed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimReport {
-    /// Hosts that joined.
+    /// Hosts that joined: the run's `JoinRequest` ledger count.
     pub joined: u64,
     /// Calls completed (direct or relayed).
     pub calls_completed: u64,
@@ -394,7 +394,6 @@ pub fn run_with(
             }
             Event::Join(h) => {
                 let _ = system.join(h);
-                run.report.joined += 1;
                 scope.record(
                     MessageKind::Publish,
                     publishes_before_end(now.as_ms(), sim.duration_ms),
@@ -511,6 +510,7 @@ pub fn run_with(
     report.overload = stats.overload;
     report.max_relay_slots_in_use = system.max_relay_slots_in_use();
     let delta = |k: MessageKind| scope.count(k) - base[k as usize];
+    report.joined = delta(MessageKind::JoinRequest);
     report.messages = MessageCounts {
         join: delta(MessageKind::JoinRequest) + delta(MessageKind::JoinReply),
         close_set: delta(MessageKind::CloseSetRequest) + delta(MessageKind::CloseSetReply),

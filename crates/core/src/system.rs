@@ -34,7 +34,7 @@ use asap_netsim::capacity::{Admission, AdmissionQueue, RelaySlots, ShedCause};
 use asap_netsim::faults::{backoff_ms, MessageDrops, MAX_RETRIES};
 use asap_netsim::membership::{MembershipView, Verdict};
 use asap_telemetry::{Counter, Gauge, HistogramHandle, LedgerScope, MessageKind, Telemetry};
-use asap_workload::{HostId, Scenario};
+use asap_workload::{Host, HostId, Scenario};
 
 use crate::close_set::{construct_close_cluster_set, CloseClusterSet, ClusterIndex};
 use crate::config::AsapConfig;
@@ -386,6 +386,14 @@ impl Meters {
 /// re-election.
 pub const STANDBYS: usize = 2;
 
+/// A surrogate candidate's score: nodal capability discounted by access
+/// delay. Surrogates must be powerful *and* well connected: a capable
+/// host behind a slow access link would make the whole cluster look far
+/// in every close cluster set.
+fn surrogate_score(host: &Host) -> f64 {
+    host.nodal.capability() - host.access_ms / 100.0
+}
+
 /// SplitMix64 finalizer: the deterministic hash behind MIX-style probing.
 fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -705,13 +713,7 @@ impl<'a> AsapSystem<'a> {
     /// is 0; [`ReplicaTable::replace`] continues an existing cluster's.
     fn elect_split(&self, cluster: ClusterId, exclude: &[HostId]) -> ReplicaSet {
         let members = self.scenario.population.cluster_members(cluster);
-        // Surrogates must be powerful *and* well connected: a capable host
-        // behind a slow access link would make the whole cluster look far
-        // in every close cluster set, so access delay discounts the score.
-        let score = |h: HostId| {
-            let host = self.scenario.population.host(h);
-            host.nodal.capability() - host.access_ms / 100.0
-        };
+        let score = |h: HostId| surrogate_score(self.scenario.population.host(h));
         let pick_pool = |pred: &dyn Fn(HostId) -> bool| -> Vec<HostId> {
             members
                 .iter()
@@ -928,10 +930,7 @@ impl<'a> AsapSystem<'a> {
     /// Tops the standby list back up to [`STANDBYS`] with the best
     /// usable members not already in the replica set.
     fn backfill_standbys(&self, cluster: ClusterId) {
-        let score = |h: HostId| {
-            let host = self.scenario.population.host(h);
-            host.nodal.capability() - host.access_ms / 100.0
-        };
+        let score = |h: HostId| surrogate_score(self.scenario.population.host(h));
         loop {
             let (current, have) = {
                 let rs = &self.replicas.borrow()[cluster];
@@ -1629,10 +1628,7 @@ mod tests {
     fn bootstrap_elects_most_capable_surrogates() {
         let s = scenario();
         let system = AsapSystem::bootstrap(&s, AsapConfig::default());
-        let score = |h: HostId| {
-            let host = s.population.host(h);
-            host.nodal.capability() - host.access_ms / 100.0
-        };
+        let score = |h: HostId| surrogate_score(s.population.host(h));
         for c in s.population.clustering().clusters() {
             let surrogate = system.surrogate_of(c.id());
             for m in s.population.cluster_members(c.id()) {

@@ -2,6 +2,7 @@
 //! and surrogate crashes, observed through ASAP's behavior.
 
 use asap_core::{AsapConfig, AsapSystem};
+use asap_netsim::model::FAILURE_RTT_MS;
 use asap_netsim::AsCondition;
 use asap_workload::{sessions, Scenario, ScenarioConfig};
 
@@ -47,10 +48,7 @@ fn failing_a_transit_as_degrades_direct_routes_crossing_it() {
     s.net.set_condition(path[1], AsCondition::Failed);
     let after = s.host_rtt_ms(a, b).unwrap();
     assert!(after > before, "failure must not speed the path up");
-    assert!(
-        after >= s.net.config().failure_rtt_ms,
-        "failed AS must plateau the RTT"
-    );
+    assert!(after >= FAILURE_RTT_MS, "failed AS must plateau the RTT");
     assert_eq!(s.host_loss(a, b), Some(1.0));
 }
 

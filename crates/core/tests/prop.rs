@@ -12,7 +12,7 @@ use asap_core::close_set::{
 };
 use asap_core::select::{select_close_relay, CloseRelaySelection, OneHopRelay, TwoHopRelay};
 use asap_core::{AsapConfig, AsapSystem};
-use asap_netsim::{AsCondition, NetModel, RELAY_DELAY_RTT_MS};
+use asap_netsim::{AsCondition, NetConfig, NetModel, RELAY_DELAY_RTT_MS};
 use asap_rng::check::{check, vec};
 use asap_rng::StdRng;
 use asap_topology::valley::{bounded_search, bounded_search_unconstrained, Expand, Reached};
@@ -670,7 +670,7 @@ fn faulted_world(rng: &mut StdRng) -> Scenario {
             .add_edge(peering_only, provider, EdgeKind::PeerToPeer);
     }
     let internet = Arc::new(internet);
-    scenario.net = NetModel::new(Arc::clone(&internet), scenario.net.config().clone(), 5);
+    scenario.net = NetModel::new(Arc::clone(&internet), NetConfig::default(), 5);
     scenario.internet = internet;
 
     let net = &scenario.internet;

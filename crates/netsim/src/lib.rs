@@ -33,7 +33,7 @@ pub mod faults;
 pub mod king;
 pub mod membership;
 mod memo;
-mod model;
+pub mod model;
 
 pub use capacity::{Admission, AdmissionQueue, CapacityConfig, RelaySlots, ShedCause};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultPlanConfig, MessageDrops};

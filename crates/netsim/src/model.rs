@@ -1,6 +1,14 @@
 //! The AS-level latency and loss model.
+//!
+//! The model's shape is the constants of this module: propagation per
+//! unit of distance, per-hop delay, stub congestion and failure rates,
+//! the severity ranges of congestion, base loss, pair jitter and
+//! circuitous routes. They were calibrated once against Fig. 2(a) and
+//! the k = 4 statistic (DESIGN §8). [`NetConfig`] holds only the two
+//! congestion rates that tests raise.
 
 use std::iter;
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -27,71 +35,77 @@ pub enum AsCondition {
     Failed,
 }
 
-/// Tunables of the latency/loss model.
+/// One-way milliseconds of propagation per unit of coordinate distance.
+pub const MS_PER_DISTANCE: f64 = 0.40;
+
+/// One-way per-AS-link router/serialization delay in milliseconds.
+pub const PER_HOP_MS: f64 = 0.8;
+
+/// Probability that a stub AS is congested (endpoint-adjacent
+/// congestion, which no relay can bypass).
+pub const CONGESTION_PROB_STUB: f64 = 0.001;
+
+/// Extra RTT range (ms) a congested AS or core link adds per traversal,
+/// fixed for the whole simulated period (unlike the fault plan's
+/// bursts, `faults::CONGESTION_RTT_MS`).
+pub const CONGESTED_ADDED_RTT_MS: RangeInclusive<f64> = 50.0..=600.0;
+
+/// Extra loss range a congested AS or core link adds per traversal.
+pub const CONGESTED_ADDED_LOSS: RangeInclusive<f64> = 0.01..=0.08;
+
+/// Fraction of stub ASes failed during the simulated period (core ASes
+/// do not fail wholesale; per the paper's Fig. 2(a) only ~10 of 10^5
+/// sessions sit on the retransmission plateau).
+pub const FAILED_FRACTION: f64 = 0.0002;
+
+/// RTT assigned to paths crossing a failed AS (a retransmission timeout
+/// plateau; Fig. 2(a) shows ~10 sessions above 5 s).
+pub const FAILURE_RTT_MS: f64 = 5_500.0;
+
+/// Baseline end-to-end loss probability range per path.
+pub const BASE_LOSS: RangeInclusive<f64> = 0.001..=0.01;
+
+/// Multiplicative latency jitter per AS pair (±fraction).
+pub const PAIR_JITTER: f64 = 0.30;
+
+/// Probability that an AS pair suffers a circuitous route (a triangle
+/// inequality violation): its latency is multiplied by a factor drawn
+/// from [`TIV_RANGE`]. These pairs are exactly the ones one-hop relays
+/// rescue geometrically (paper Fig. 2(b): 60% of sessions have an
+/// optimal one-hop path faster than the direct route).
+pub const TIV_PROB: f64 = 0.18;
+
+/// Multiplier range for circuitous pairs.
+pub const TIV_RANGE: RangeInclusive<f64> = 1.4..=2.2;
+
+/// The congestion rates of the latency/loss model that tests vary; every
+/// other quantity of the model is a constant of this module.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// One-way milliseconds of propagation per unit of coordinate distance.
-    pub ms_per_distance: f64,
-    /// One-way per-AS-link router/serialization delay in milliseconds.
-    pub per_hop_ms: f64,
-    /// Range of per-host access-link one-way delays in milliseconds; drawn
-    /// heavy-tailed (most hosts near the low end, a few modem-like hosts
-    /// near the high end).
-    pub access_ms: (f64, f64),
     /// Probability that a *core link* (both endpoints tier-1/transit) is
     /// congested. Link-level core congestion is the paper's Fig. 4
     /// scenario: it afflicts every direct route crossing that peering or
     /// transit link, yet relays whose legs meet elsewhere bypass it.
+    ///
+    /// A setting rather than a constant because it is the only way to
+    /// congest a core link: the route oracle raises it to put dense
+    /// congestion on tiny worlds, and the comparison test raises it to
+    /// get a latent-session pool.
     pub congestion_prob_core_link: f64,
     /// Probability that a transit AS is congested as a whole (regional
     /// provider trouble; bypassable only by endpoints with another
     /// upstream).
+    ///
+    /// A setting rather than a constant because the route oracle raises
+    /// it to congest many transit ASes when the model is built.
     pub congestion_prob_transit: f64,
-    /// Probability that a stub AS is congested (endpoint-adjacent
-    /// congestion, which no relay can bypass).
-    pub congestion_prob_stub: f64,
-    /// Extra RTT range (ms) a congested AS adds per traversal.
-    pub congestion_added_rtt_ms: (f64, f64),
-    /// Extra loss range a congested AS adds per traversal.
-    pub congestion_added_loss: (f64, f64),
-    /// Fraction of stub ASes failed during the simulated period (core
-    /// ASes do not fail wholesale; per the paper's Fig. 2(a) only ~10 of
-    /// 10^5 sessions sit on the retransmission plateau).
-    pub failed_fraction: f64,
-    /// RTT assigned to paths crossing a failed AS (a retransmission
-    /// timeout plateau; Fig. 2(a) shows ~10 sessions above 5 s).
-    pub failure_rtt_ms: f64,
-    /// Baseline end-to-end loss probability range per path.
-    pub base_loss: (f64, f64),
-    /// Multiplicative latency jitter per AS pair (±fraction).
-    pub pair_jitter: f64,
-    /// Probability that an AS pair suffers a circuitous route (a triangle
-    /// inequality violation): its latency is multiplied by a factor drawn
-    /// from `tiv_range`. These pairs are exactly the ones one-hop relays
-    /// rescue geometrically (paper Fig. 2(b): 60% of sessions have an
-    /// optimal one-hop path faster than the direct route).
-    pub tiv_prob: f64,
-    /// Multiplier range for circuitous pairs.
-    pub tiv_range: (f64, f64),
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
-            ms_per_distance: 0.40,
-            per_hop_ms: 0.8,
-            access_ms: (0.5, 15.0),
             congestion_prob_core_link: 0.008,
             congestion_prob_transit: 0.008,
-            congestion_prob_stub: 0.001,
-            congestion_added_rtt_ms: (50.0, 600.0),
-            congestion_added_loss: (0.01, 0.08),
-            failed_fraction: 0.0002,
-            failure_rtt_ms: 5_500.0,
-            base_loss: (0.001, 0.01),
-            pair_jitter: 0.30,
-            tiv_prob: 0.18,
-            tiv_range: (1.4, 2.2),
         }
     }
 }
@@ -147,14 +161,14 @@ impl NetModel {
             let congestion_prob = match internet.tiers[idx] {
                 AsTier::Tier1 => 0.0,
                 AsTier::Transit => config.congestion_prob_transit,
-                AsTier::Stub => config.congestion_prob_stub,
+                AsTier::Stub => CONGESTION_PROB_STUB,
             };
             let can_fail = internet.tiers[idx] == AsTier::Stub;
-            if can_fail && u < config.failed_fraction {
+            if can_fail && u < FAILED_FRACTION {
                 *cond = AsCondition::Failed;
-            } else if u < config.failed_fraction + congestion_prob {
-                let (lo, hi) = config.congestion_added_rtt_ms;
-                let (llo, lhi) = config.congestion_added_loss;
+            } else if u < FAILED_FRACTION + congestion_prob {
+                let (lo, hi) = CONGESTED_ADDED_RTT_MS.into_inner();
+                let (llo, lhi) = CONGESTED_ADDED_LOSS.into_inner();
                 // Uniform severity: congestion episodes range from mild
                 // to severe (the paper's problem sessions sit 50-400 ms
                 // above their clean RTT).
@@ -180,11 +194,6 @@ impl NetModel {
     /// The synthetic Internet this model runs over.
     pub fn internet(&self) -> &Arc<SyntheticInternet> {
         &self.internet
-    }
-
-    /// The model configuration.
-    pub fn config(&self) -> &NetConfig {
-        &self.config
     }
 
     /// The health of `asn` during the simulated period.
@@ -299,13 +308,13 @@ impl NetModel {
             match self.conditions[x as usize] {
                 AsCondition::Healthy => {}
                 AsCondition::Congested { .. } => congested = true,
-                AsCondition::Failed => return Some((self.config.failure_rtt_ms, 1.0)),
+                AsCondition::Failed => return Some((FAILURE_RTT_MS, 1.0)),
             }
             let Some(y) = hops.next() else {
                 break;
             };
             let d = self.internet.distance_idx(x, y);
-            one_way += d * self.config.ms_per_distance + self.config.per_hop_ms;
+            one_way += d * MS_PER_DISTANCE + PER_HOP_MS;
             let (link_rtt, link_loss) = self.link_condition_idx(x, y);
             extra_rtt += link_rtt;
             loss += link_loss;
@@ -357,8 +366,8 @@ impl NetModel {
             return (0.0, 0.0);
         }
         let sev = unit(mix(self.seed ^ 0x5EF, x, y));
-        let (lo, hi) = self.config.congestion_added_rtt_ms;
-        let (llo, lhi) = self.config.congestion_added_loss;
+        let (lo, hi) = CONGESTED_ADDED_RTT_MS.into_inner();
+        let (llo, lhi) = CONGESTED_ADDED_LOSS.into_inner();
         (lo + sev * (hi - lo), llo + sev * (lhi - llo))
     }
 
@@ -369,14 +378,14 @@ impl NetModel {
         let mut extra_rtt = 0.0;
         for w in path.windows(2) {
             let d = self.internet.distance(w[0], w[1]);
-            one_way += d * self.config.ms_per_distance + self.config.per_hop_ms;
+            one_way += d * MS_PER_DISTANCE + PER_HOP_MS;
             extra_rtt += self.link_condition(w[0], w[1]).0;
         }
         for &asn in path {
             match self.condition(asn) {
                 AsCondition::Healthy => {}
                 AsCondition::Congested { added_rtt_ms, .. } => extra_rtt += added_rtt_ms,
-                AsCondition::Failed => return self.config.failure_rtt_ms,
+                AsCondition::Failed => return FAILURE_RTT_MS,
             }
         }
         // Deterministic per-pair jitter (same for both directions).
@@ -430,15 +439,6 @@ impl NetModel {
         Some((core + 2.0 * access_a_ms + 2.0 * access_b_ms, loss))
     }
 
-    /// Samples a deterministic heavy-tailed access-link one-way delay for
-    /// host number `host_id` (most hosts near the low end of
-    /// [`NetConfig::access_ms`], a few near the high end).
-    pub fn sample_access_ms(&self, host_id: u64) -> f64 {
-        let (lo, hi) = self.config.access_ms;
-        let u = unit(mix(self.seed, 0xACCE55, host_id));
-        lo + u.powi(4) * (hi - lo)
-    }
-
     /// Intra-AS RTT between two hosts of the same AS (small, distance
     /// independent, deterministic per AS).
     fn intra_as_rtt_ms(&self, asn: Asn) -> f64 {
@@ -448,16 +448,16 @@ impl NetModel {
     fn pair_jitter_factor(&self, a: Asn, b: Asn) -> f64 {
         let (lo, hi) = (a.0.min(b.0) as u64, a.0.max(b.0) as u64);
         let u = unit(mix(self.seed, lo, hi));
-        let mut factor = 1.0 + self.config.pair_jitter * (2.0 * u - 1.0);
-        if unit(mix(self.seed ^ 0x717, lo, hi)) < self.config.tiv_prob {
-            let (tlo, thi) = self.config.tiv_range;
+        let mut factor = 1.0 + PAIR_JITTER * (2.0 * u - 1.0);
+        if unit(mix(self.seed ^ 0x717, lo, hi)) < TIV_PROB {
+            let (tlo, thi) = TIV_RANGE.into_inner();
             factor *= tlo + (thi - tlo) * unit(mix(self.seed ^ 0x7117, lo, hi));
         }
         factor
     }
 
     fn base_pair_loss(&self, a: Asn, b: Asn) -> f64 {
-        let (lo, hi) = self.config.base_loss;
+        let (lo, hi) = BASE_LOSS.into_inner();
         let (x, y) = (a.0.min(b.0) as u64, a.0.max(b.0) as u64);
         let u = unit(mix(self.seed, x ^ 0x1055, y));
         lo + u * u * (hi - lo)
@@ -519,7 +519,7 @@ mod tests {
                     m.as_hops(stubs[i], stubs[j]),
                     m.as_rtt_ms(stubs[i], stubs[j]),
                 ) {
-                    if r < m.config().failure_rtt_ms {
+                    if r < FAILURE_RTT_MS {
                         let e = by_hops.entry(h).or_insert((0.0, 0));
                         e.0 += r;
                         e.1 += 1;
@@ -541,7 +541,7 @@ mod tests {
         let path = m.as_path(a, b).unwrap();
         let middle = path[path.len() / 2];
         m.set_condition(middle, AsCondition::Failed);
-        assert_eq!(m.as_rtt_ms(a, b), Some(m.config().failure_rtt_ms));
+        assert_eq!(m.as_rtt_ms(a, b), Some(FAILURE_RTT_MS));
         assert_eq!(m.as_loss(a, b), Some(1.0));
     }
 
@@ -586,25 +586,6 @@ mod tests {
         let relay = leg1 + leg2 + crate::RELAY_DELAY_RTT_MS;
         assert!(relay > leg1 && relay > leg2);
         assert!(relay >= crate::RELAY_DELAY_RTT_MS);
-    }
-
-    #[test]
-    fn access_delays_are_heavy_tailed() {
-        let m = model(7);
-        let samples: Vec<f64> = (0..2000).map(|i| m.sample_access_ms(i)).collect();
-        let (lo, hi) = m.config().access_ms;
-        assert!(samples.iter().all(|&s| s >= lo && s <= hi));
-        let median = {
-            let mut s = samples.clone();
-            s.sort_by(f64::total_cmp);
-            s[s.len() / 2]
-        };
-        let max = samples.iter().copied().fold(f64::MIN, f64::max);
-        assert!(
-            median < (lo + hi) / 4.0,
-            "median {median} should hug the low end"
-        );
-        assert!(max > hi * 0.7, "tail should reach near {hi}, got {max}");
     }
 
     #[test]

@@ -4,6 +4,7 @@ use std::sync::{Arc, OnceLock};
 
 use asap_netsim::events::{EventQueue, SimTime};
 use asap_netsim::membership::{HEARTBEAT_INTERVAL_MS, PHI_SUSPECT};
+use asap_netsim::model::CONGESTED_ADDED_RTT_MS;
 use asap_netsim::{NetConfig, NetModel, SuspicionDetector, Verdict};
 use asap_rng::check::{check, vec};
 use asap_topology::{InternetConfig, InternetGenerator, SyntheticInternet};
@@ -91,8 +92,7 @@ fn link_condition_is_deterministic_and_bounded() {
         assert_eq!(c1, c2);
         // Symmetric in argument order.
         assert_eq!(c1, model.link_condition(b, a));
-        let (lo, hi) = model.config().congestion_added_rtt_ms;
-        assert!(c1.0 == 0.0 || (lo..=hi).contains(&c1.0));
+        assert!(c1.0 == 0.0 || CONGESTED_ADDED_RTT_MS.contains(&c1.0));
     });
 }
 

@@ -12,6 +12,7 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 
 use asap_cluster::Asn;
+use asap_netsim::model::FAILURE_RTT_MS;
 use asap_netsim::{AsCondition, NetConfig, NetModel};
 use asap_topology::{
     AsGraph, AsTier, EdgeKind, InternetConfig, InternetGenerator, SyntheticInternet,
@@ -74,7 +75,6 @@ fn index_walk_is_bit_equal_to_the_path_reference() {
         NetConfig {
             congestion_prob_core_link: 0.3,
             congestion_prob_transit: 0.2,
-            ..NetConfig::default()
         },
     );
     let asns = m.internet().graph.asns().to_vec();
@@ -113,7 +113,7 @@ fn index_walk_is_bit_equal_to_the_path_reference() {
     check_all_pairs(&m);
     assert_eq!(
         m.as_metrics(a, b),
-        Some((m.config().failure_rtt_ms, 1.0)),
+        Some((FAILURE_RTT_MS, 1.0)),
         "a failed mid-path AS must time the route out"
     );
 
@@ -260,7 +260,6 @@ fn repeat_queries_match_a_fresh_model_before_and_after_set_condition() {
     let config = NetConfig {
         congestion_prob_core_link: 0.3,
         congestion_prob_transit: 0.2,
-        ..NetConfig::default()
     };
     let mut m = model_with(9, config.clone());
     let asns = m.internet().graph.asns().to_vec();

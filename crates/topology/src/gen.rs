@@ -9,7 +9,7 @@
 //! * **transit (tier-2) ASes** attaching to providers by preferential
 //!   attachment (yielding a heavy-tailed degree distribution) and peering
 //!   with each other regionally;
-//! * **stub ASes**, a configurable fraction of them **multi-homed** — the
+//! * **stub ASes**, a fixed fraction of them **multi-homed** — the
 //!   Fig. 4 ingredient that makes one-hop relays beat direct routes;
 //! * occasional **sibling** links;
 //! * per-AS **geographic coordinates** (tier-1 spread globally, customers
@@ -32,7 +32,22 @@ pub enum AsTier {
     Stub,
 }
 
-/// Parameters for [`InternetGenerator`].
+/// Probability that a stub AS is multi-homed (two or more providers).
+pub const MULTIHOME_PROB: f64 = 0.5;
+
+/// Expected number of extra peering links per transit AS.
+pub const TRANSIT_PEERING: f64 = 4.0;
+
+/// Probability that a stub has a sibling AS.
+pub const SIBLING_PROB: f64 = 0.01;
+
+/// Side length of the square world the coordinates live in, in units
+/// of coordinate distance (`asap_netsim` turns a unit into one-way
+/// propagation milliseconds).
+pub const WORLD_SIZE: f64 = 100.0;
+
+/// The sizes of the three tiers [`InternetGenerator`] grows; every other
+/// shape of the topology is a constant of this module.
 ///
 /// The defaults produce a ~4,000-AS Internet, a scale at which the full
 /// evaluation pipeline runs in seconds; `InternetConfig::paper_scale()`
@@ -45,15 +60,6 @@ pub struct InternetConfig {
     pub transit: usize,
     /// Number of stub ASes.
     pub stubs: usize,
-    /// Probability that a stub AS is multi-homed (two or more providers).
-    pub multihome_prob: f64,
-    /// Expected number of extra peering links per transit AS.
-    pub transit_peering: f64,
-    /// Probability that a stub has a sibling AS.
-    pub sibling_prob: f64,
-    /// Side length of the square world the coordinates live in,
-    /// in milliseconds of one-way propagation delay corner-to-corner scale.
-    pub world_size: f64,
 }
 
 impl Default for InternetConfig {
@@ -62,10 +68,6 @@ impl Default for InternetConfig {
             tier1: 10,
             transit: 500,
             stubs: 3500,
-            multihome_prob: 0.5,
-            transit_peering: 4.0,
-            sibling_prob: 0.01,
-            world_size: 100.0,
         }
     }
 }
@@ -78,7 +80,6 @@ impl InternetConfig {
             tier1: 12,
             transit: 2400,
             stubs: 18500,
-            ..InternetConfig::default()
         }
     }
 
@@ -88,7 +89,6 @@ impl InternetConfig {
             tier1: 3,
             transit: 20,
             stubs: 120,
-            ..InternetConfig::default()
         }
     }
 }
@@ -128,8 +128,7 @@ pub struct SyntheticInternet {
     /// Tier of every AS, indexed by the graph's dense node index.
     pub tiers: Vec<AsTier>,
     /// Planar coordinates of every AS (same indexing), used by the latency
-    /// model. Units are milliseconds of one-way propagation per unit
-    /// distance as configured by [`InternetConfig::world_size`].
+    /// model, inside the square of side [`WORLD_SIZE`].
     pub coords: Vec<(f64, f64)>,
 }
 
@@ -225,7 +224,7 @@ impl InternetGenerator {
         let mut tiers = Vec::new();
         let mut coords: Vec<(f64, f64)> = Vec::new();
         let mut next_asn = 1u32;
-        let w = cfg.world_size;
+        let w = WORLD_SIZE;
 
         let mut alloc = |graph: &mut AsGraph,
                          tiers: &mut Vec<AsTier>,
@@ -304,7 +303,7 @@ impl InternetGenerator {
         }
 
         // --- Peering among transit ASes, preferring nearby ones. ---
-        let peer_links = (cfg.transit as f64 * cfg.transit_peering / 2.0) as usize;
+        let peer_links = (cfg.transit as f64 * TRANSIT_PEERING / 2.0) as usize;
         for _ in 0..peer_links {
             if transits.len() < 2 {
                 break;
@@ -340,7 +339,7 @@ impl InternetGenerator {
             );
             let asn = alloc(&mut graph, &mut tiers, &mut coords, AsTier::Stub, xy);
             graph.add_edge(provider, asn, EdgeKind::ProviderToCustomer);
-            if self.rng.gen_bool(cfg.multihome_prob) {
+            if self.rng.gen_bool(MULTIHOME_PROB) {
                 // Second (occasionally third) provider — possibly far away,
                 // which is what creates useful relay shortcuts.
                 let extra = if self.rng.gen_bool(0.2) { 2 } else { 1 };
@@ -354,7 +353,7 @@ impl InternetGenerator {
                     }
                 }
             }
-            if self.rng.gen_bool(cfg.sibling_prob) {
+            if self.rng.gen_bool(SIBLING_PROB) {
                 let xy2 = (
                     clamp((xy.0 + self.rng.gen_range(-1.0..1.0)).abs(), w),
                     clamp((xy.1 + self.rng.gen_range(-1.0..1.0)).abs(), w),
@@ -547,7 +546,6 @@ mod tests {
             tier1: 0,
             transit: 5,
             stubs: 10,
-            ..InternetConfig::default()
         };
         let err = InternetGenerator::new(cfg, 1).try_generate().unwrap_err();
         assert_eq!(
@@ -562,7 +560,6 @@ mod tests {
             tier1: 0,
             transit: 0,
             stubs: 3,
-            ..InternetConfig::default()
         };
         let err = InternetGenerator::new(cfg, 1).try_generate().unwrap_err();
         assert_eq!(err, GenError::EmptyProviderPool { tier: AsTier::Stub });
@@ -579,7 +576,6 @@ mod tests {
                 tier1: 1,
                 transit: 1,
                 stubs: 1,
-                ..InternetConfig::default()
             };
             let net = InternetGenerator::new(cfg, seed)
                 .try_generate()
@@ -591,7 +587,6 @@ mod tests {
                 tier1: 1,
                 transit: 0,
                 stubs: 2,
-                ..InternetConfig::default()
             };
             let net = InternetGenerator::new(cfg, seed)
                 .try_generate()
@@ -614,7 +609,7 @@ mod tests {
     #[test]
     fn coordinates_inside_world() {
         let net = internet();
-        let w = InternetConfig::tiny().world_size;
+        let w = WORLD_SIZE;
         for &(x, y) in &net.coords {
             assert!((0.0..=w).contains(&x) && (0.0..=w).contains(&y));
         }

@@ -11,6 +11,9 @@
 //! 1. [`InternetGenerator`] grows a tiered, power-law Internet-like AS
 //!    topology (tier-1 clique, multi-homed transit and stub ASes, peering
 //!    and sibling links) with per-AS geographic coordinates.
+//!    [`InternetConfig`] sets the three tier sizes; the multi-homing,
+//!    peering and sibling rates and the world size are constants of
+//!    [`gen`].
 //! 2. [`routing`] computes BGP policy routes (prefer customer > peer >
 //!    provider, then shortest AS path) — the *direct IP routing paths*
 //!    whose latency tail motivates relay selection.

@@ -8,13 +8,13 @@
 //! * [`Population`] — peers spread over the synthetic Internet's stub
 //!   ASes with heavy-tailed cluster sizes (90% of clusters hold ≤ 100
 //!   hosts, a few reach ~1,000 — the §6.3 load-analysis statistics),
-//!   per-host access delays, and nodal information (bandwidth, uptime,
-//!   processing power) for surrogate election.
+//!   per-host access delays drawn over [`ACCESS_MS`], and nodal
+//!   information (bandwidth, uptime, processing power) for surrogate
+//!   election. [`PopulationConfig`] sets only the size and the seed.
 //! * [`sessions`] — seeded random session generation and the >300 ms
 //!   "latent session" filter of §7.1.
 //! * [`Scenario`] — the one-stop bundle (Internet + network model +
 //!   population) every experiment, test, and example builds on.
-//! * [`trace`] — JSON-lines (de)serialization of experiment results.
 //!
 //! # Example
 //!
@@ -36,7 +36,8 @@
 mod population;
 mod scenario;
 pub mod sessions;
-pub mod trace;
 
-pub use population::{Host, HostId, NodalInfo, Population, PopulationConfig};
+pub use population::{
+    Host, HostId, NodalInfo, Population, PopulationConfig, ACCESS_MS, MAX_PREFIXES_PER_AS,
+};
 pub use scenario::{Scenario, ScenarioConfig};

@@ -3,6 +3,7 @@
 use asap_cluster::{Asn, ClusterLevel, Clustering, Ip, Prefix, PrefixTable};
 use asap_rng::{SliceRandom, StdRng};
 use asap_topology::SyntheticInternet;
+use std::ops::RangeInclusive;
 use std::sync::OnceLock;
 
 /// Dense identifier of a host within one [`Population`].
@@ -53,18 +54,22 @@ pub struct Host {
     pub nodal: NodalInfo,
 }
 
-/// Parameters of population synthesis.
+/// Maximum number of prefixes (clusters) a single AS originates.
+pub const MAX_PREFIXES_PER_AS: usize = 3;
+
+/// Range of per-host access-link one-way delays in milliseconds, drawn
+/// heavy-tailed (most hosts broadband near the low end; the 2005
+/// Gnutella population skews broadband). The only access-delay model:
+/// every host's delay is drawn from it by [`Population::generate`].
+pub const ACCESS_MS: RangeInclusive<f64> = 0.5..=15.0;
+
+/// Parameters of population synthesis: its size and seed. The rest of
+/// its shape is the constants of this module.
 #[derive(Debug, Clone)]
 pub struct PopulationConfig {
     /// Approximate number of peers to generate.
     pub target_hosts: usize,
-    /// Maximum number of prefixes (clusters) a single AS originates.
-    pub max_prefixes_per_as: usize,
-    /// Range of per-host access-link one-way delays in milliseconds,
-    /// drawn heavy-tailed (most hosts broadband near the low end; the
-    /// 2005 Gnutella population skews broadband).
-    pub access_ms: (f64, f64),
-    /// RNG seed for cluster sizes, IPs, and nodal info.
+    /// RNG seed for cluster sizes, IPs, access delays and nodal info.
     pub seed: u64,
 }
 
@@ -72,8 +77,6 @@ impl Default for PopulationConfig {
     fn default() -> Self {
         PopulationConfig {
             target_hosts: 20_000,
-            max_prefixes_per_as: 3,
-            access_ms: (0.5, 15.0),
             seed: 0,
         }
     }
@@ -118,10 +121,9 @@ struct AsGroups {
 impl Population {
     /// Synthesizes a population on the stub ASes of `internet`.
     ///
-    /// Host access delays are sampled from the hash stream of
-    /// `config.seed` (heavy-tailed: mostly broadband, occasional
-    /// modem-like stragglers), mirroring
-    /// `asap_netsim::NetModel::sample_access_ms`.
+    /// Host access delays are drawn from the population's RNG, seeded
+    /// with `config.seed`, over [`ACCESS_MS`] (heavy-tailed: mostly
+    /// broadband, occasional modem-like stragglers).
     ///
     /// # Panics
     ///
@@ -139,7 +141,7 @@ impl Population {
 
         while hosts.len() < config.target_hosts {
             let &asn = stub_iter.next().expect("cycle never ends");
-            let prefixes = rng.gen_range(1..=config.max_prefixes_per_as);
+            let prefixes = rng.gen_range(1..=MAX_PREFIXES_PER_AS);
             for _ in 0..prefixes {
                 if hosts.len() >= config.target_hosts {
                     break;
@@ -168,7 +170,7 @@ impl Population {
                         uptime_hours: rng.gen_range(0.0..400.0f64),
                         cpu_score: rng.gen_range(0.0..1.0),
                     };
-                    let (alo, ahi) = config.access_ms;
+                    let (alo, ahi) = ACCESS_MS.into_inner();
                     hosts.push(Host {
                         id,
                         ip,
@@ -340,7 +342,6 @@ mod tests {
             &PopulationConfig {
                 target_hosts: 20_000,
                 seed: 3,
-                ..Default::default()
             },
         );
         let sizes = pop.clustering().size_distribution();
@@ -366,11 +367,29 @@ mod tests {
         let cfg = PopulationConfig {
             target_hosts: 200,
             seed: 9,
-            ..Default::default()
         };
         let a = Population::generate(&net, &cfg);
         let b = Population::generate(&net, &cfg);
         assert_eq!(a.hosts(), b.hosts());
+    }
+
+    #[test]
+    fn access_delays_are_heavy_tailed() {
+        let (_, pop) = population();
+        let samples: Vec<f64> = pop.hosts().iter().map(|h| h.access_ms).collect();
+        let (lo, hi) = ACCESS_MS.into_inner();
+        assert!(samples.iter().all(|&s| s >= lo && s <= hi));
+        let median = {
+            let mut s = samples.clone();
+            s.sort_by(f64::total_cmp);
+            s[s.len() / 2]
+        };
+        let max = samples.iter().copied().fold(f64::MIN, f64::max);
+        assert!(
+            median < (lo + hi) / 4.0,
+            "median {median} should hug the low end"
+        );
+        assert!(max > hi * 0.7, "tail should reach near {hi}, got {max}");
     }
 
     #[test]
