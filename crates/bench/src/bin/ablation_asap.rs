@@ -15,7 +15,7 @@
 
 use asap_bench::{percentile, row, section, sorted, Args, Scale};
 use asap_core::close_set::{construct_close_cluster_set_with_mode, ClusterIndex, SearchMode};
-use asap_core::{AsapConfig, AsapSelector, AsapSystem};
+use asap_core::{surrogate_order, AsapConfig, AsapSelector, AsapSystem};
 use asap_voip::QualityRequirement;
 use asap_workload::sessions;
 use asap_workload::HostId;
@@ -193,13 +193,7 @@ fn main() {
                 members
                     .iter()
                     .copied()
-                    .max_by(|&a, &b| {
-                        let score = |h: HostId| {
-                            let host = scenario.population.host(h);
-                            host.nodal.capability() - host.access_ms / 100.0
-                        };
-                        score(a).total_cmp(&score(b))
-                    })
+                    .min_by(|&a, &b| surrogate_order(&scenario.population, a, b))
                     .unwrap()
             }
         };

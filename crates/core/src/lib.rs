@@ -71,5 +71,6 @@ pub use parallel::{run_sharded, run_sharded_on, shard_configs, shard_seed};
 pub use replica::ReplicaSet;
 pub use selector::AsapSelector;
 pub use system::{
-    AsapSystem, CallOutcome, FetchResult, OverloadStats, RecoveryStats, SystemStats, STANDBYS,
+    surrogate_order, AsapSystem, CallOutcome, FetchResult, OverloadStats, RecoveryStats,
+    SystemStats, STANDBYS,
 };

@@ -114,11 +114,6 @@ impl ReplicaTable {
         }
     }
 
-    /// Number of clusters.
-    pub(crate) fn len(&self) -> usize {
-        self.sets.len()
-    }
-
     /// The primary surrogate of every cluster, indexed by `ClusterId.0`.
     pub(crate) fn primaries(&self) -> &[HostId] {
         &self.primaries

@@ -25,6 +25,7 @@
 //! which purges every cached close set referencing it.
 
 use std::cell::{Cell, RefCell, RefMut};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -34,7 +35,7 @@ use asap_netsim::capacity::{Admission, AdmissionQueue, RelaySlots, ShedCause};
 use asap_netsim::faults::{backoff_ms, MessageDrops, MAX_RETRIES};
 use asap_netsim::membership::{MembershipView, Verdict};
 use asap_telemetry::{Counter, Gauge, HistogramHandle, LedgerScope, MessageKind, Telemetry};
-use asap_workload::{Host, HostId, Scenario};
+use asap_workload::{HostId, Population, Scenario};
 
 use crate::close_set::{construct_close_cluster_set, CloseClusterSet, ClusterIndex};
 use crate::config::AsapConfig;
@@ -386,12 +387,18 @@ impl Meters {
 /// re-election.
 pub const STANDBYS: usize = 2;
 
-/// A surrogate candidate's score: nodal capability discounted by access
-/// delay. Surrogates must be powerful *and* well connected: a capable
-/// host behind a slow access link would make the whole cluster look far
-/// in every close cluster set.
-fn surrogate_score(host: &Host) -> f64 {
-    host.nodal.capability() - host.access_ms / 100.0
+/// The surrogate election order: `Less` when `a` is the better
+/// surrogate candidate. Candidates rank by nodal capability discounted
+/// by access delay, ties to the lower host id. Surrogates must be
+/// powerful *and* well connected: a capable host behind a slow access
+/// link would make the whole cluster look far in every close cluster
+/// set.
+pub fn surrogate_order(population: &Population, a: HostId, b: HostId) -> Ordering {
+    let score = |h: HostId| {
+        let host = population.host(h);
+        host.nodal.capability() - host.access_ms / 100.0
+    };
+    score(b).total_cmp(&score(a)).then(a.cmp(&b))
 }
 
 /// SplitMix64 finalizer: the deterministic hash behind MIX-style probing.
@@ -712,8 +719,8 @@ impl<'a> AsapSystem<'a> {
     /// is kept out unless it would empty every pool. The returned epoch
     /// is 0; [`ReplicaTable::replace`] continues an existing cluster's.
     fn elect_split(&self, cluster: ClusterId, exclude: &[HostId]) -> ReplicaSet {
-        let members = self.scenario.population.cluster_members(cluster);
-        let score = |h: HostId| surrogate_score(self.scenario.population.host(h));
+        let population = &self.scenario.population;
+        let members = population.cluster_members(cluster);
         let pick_pool = |pred: &dyn Fn(HostId) -> bool| -> Vec<HostId> {
             members
                 .iter()
@@ -731,7 +738,7 @@ impl<'a> AsapSystem<'a> {
         if pool.is_empty() {
             pool = members.clone();
         }
-        pool.sort_by(|&a, &b| score(b).total_cmp(&score(a)).then(a.cmp(&b)));
+        pool.sort_by(|&a, &b| surrogate_order(population, a, b));
         let actives_n = self.surrogate_count(members.len());
         let active: Vec<HostId> = pool.iter().copied().take(actives_n).collect();
         let standbys: Vec<HostId> = pool
@@ -930,7 +937,7 @@ impl<'a> AsapSystem<'a> {
     /// Tops the standby list back up to [`STANDBYS`] with the best
     /// usable members not already in the replica set.
     fn backfill_standbys(&self, cluster: ClusterId) {
-        let score = |h: HostId| surrogate_score(self.scenario.population.host(h));
+        let population = &self.scenario.population;
         loop {
             let (current, have) = {
                 let rs = &self.replicas.borrow()[cluster];
@@ -939,14 +946,12 @@ impl<'a> AsapSystem<'a> {
             if have >= STANDBYS {
                 return;
             }
-            let candidate = self
-                .scenario
-                .population
+            let candidate = population
                 .cluster_members(cluster)
                 .iter()
                 .copied()
                 .filter(|h| !current.contains(h) && self.host_usable(*h))
-                .max_by(|&a, &b| score(a).total_cmp(&score(b)).then(b.cmp(&a)));
+                .min_by(|&a, &b| surrogate_order(population, a, b));
             let Some(candidate) = candidate else {
                 return; // nobody left to recruit
             };
@@ -965,23 +970,28 @@ impl<'a> AsapSystem<'a> {
     /// is kept rather than churning pointless elections. Returns the
     /// active surrogates demoted this sweep: callers should fail over any
     /// call still relayed through them.
+    ///
+    /// The sweep costs one heartbeat per monitored node plus a check of
+    /// the clusters of the silent (unreachable) ones, in ascending
+    /// cluster order. Skipping the other clusters is exact: a node that
+    /// beat at `now_ms` and an unmonitored or just-registered node are
+    /// all [`Verdict::Alive`], and handling one cluster never changes
+    /// another cluster's replicas.
     pub fn membership_tick(&self, now_ms: u64) -> Vec<HostId> {
         self.advance_to(now_ms);
-        {
-            let mut view = self.membership.borrow_mut();
-            let mut beats = 0;
-            for id in view.watched() {
-                if self.host_reachable(HostId(id)) {
-                    view.heartbeat(id, now_ms);
-                    beats += 1;
-                }
-            }
-            self.scope.record(MessageKind::Heartbeat, beats);
-        }
-        let cluster_count = self.replicas.borrow().len();
+        let (beats, silent) = self
+            .membership
+            .borrow_mut()
+            .sweep(now_ms, |id| self.host_reachable(HostId(id)));
+        self.scope.record(MessageKind::Heartbeat, beats);
+        let mut clusters: Vec<ClusterId> = silent
+            .into_iter()
+            .map(|id| self.scenario.population.cluster_of(HostId(id)))
+            .collect();
+        clusters.sort_unstable();
+        clusters.dedup();
         let mut demoted = Vec::new();
-        for c in 0..cluster_count {
-            let cluster = ClusterId(c as u32);
+        for cluster in clusters {
             let (dead_active, dead_standby) = {
                 let rs = &self.replicas.borrow()[cluster];
                 let view = self.membership.borrow();
@@ -1628,12 +1638,11 @@ mod tests {
     fn bootstrap_elects_most_capable_surrogates() {
         let s = scenario();
         let system = AsapSystem::bootstrap(&s, AsapConfig::default());
-        let score = |h: HostId| surrogate_score(s.population.host(h));
         for c in s.population.clustering().clusters() {
             let surrogate = system.surrogate_of(c.id());
             for m in s.population.cluster_members(c.id()) {
                 assert!(
-                    score(surrogate) >= score(m) - 1e-12,
+                    surrogate_order(&s.population, surrogate, m).is_le(),
                     "surrogate of {:?} is not the best-scoring member",
                     c.id()
                 );

@@ -8,6 +8,11 @@
 //! 2. every cluster always has a non-empty surrogate list (the protocol
 //!    never loses a cluster's representative entirely).
 //!
+//! A third property holds after every membership sweep: no cluster with
+//! a usable member keeps a `Dead` active surrogate or standby. The sweep
+//! checks only the clusters of silent nodes, so this is the post-
+//! condition of a scan over every cluster.
+//!
 //! No cached close set outlives a cold epoch change of a cluster it
 //! references: the replica table purges in the same call that changes
 //! the epoch, and its unit tests compare that against a cache that
@@ -19,13 +24,15 @@
 //! method that called back into the system while still holding a
 //! mutable borrow would panic there.
 
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use asap_cluster::ClusterId;
 use asap_core::select::CloseRelaySelection;
 use asap_core::{AsapConfig, AsapSystem};
 use asap_netsim::capacity::CapacityConfig;
-use asap_netsim::faults::MessageDrops;
+use asap_netsim::faults::{FaultKind, FaultPlan, FaultPlanConfig, MessageDrops};
+use asap_netsim::membership::{Verdict, HEARTBEAT_INTERVAL_MS};
 use asap_rng::check::{check, vec};
 use asap_workload::{HostId, Scenario, ScenarioConfig};
 
@@ -112,6 +119,117 @@ fn crashed_surrogates_never_serve_again() {
         }
         check_invariants(&system);
     });
+}
+
+/// What the sweep replay does at one virtual time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Step {
+    /// Heal `asn` if its latest partition has run out.
+    Heal(u32),
+    /// Apply fault plan event `i`.
+    Fault(usize),
+    /// One membership sweep.
+    Tick,
+}
+
+/// No cluster with a usable member keeps a `Dead` replica.
+fn check_sweep_post_condition(system: &AsapSystem<'_>, now: u64) {
+    let s = system.scenario();
+    for c in s.population.clustering().clusters() {
+        let members = s.population.cluster_members(c.id());
+        if !members.iter().any(|&h| system.host_usable(h)) {
+            continue;
+        }
+        let rs = system.replica_set_of(c.id());
+        for &h in rs.active.iter().chain(&rs.standbys) {
+            assert_ne!(
+                system.relay_verdict(h),
+                Verdict::Dead,
+                "cluster {:?} keeps dead replica {h} after the sweep at {now} ms: {rs:?}",
+                c.id()
+            );
+        }
+    }
+}
+
+/// Random schedules of silent crashes (surrogates and arbitrary hosts),
+/// AS partitions and their heals, drawn by the fault plan generator the
+/// event simulation uses, replayed against the system with a membership
+/// sweep every heartbeat interval.
+#[test]
+fn sweeps_leave_no_dead_replica_in_a_usable_cluster() {
+    let s = scenario();
+    let hosts = s.population.hosts().len() as u32;
+    let clusters = s.population.clustering().cluster_count() as u32;
+    let mut asns: Vec<u32> = s.population.hosts().iter().map(|h| h.asn.0).collect();
+    asns.sort_unstable();
+    asns.dedup();
+    let (mut demoted, mut heals) = (0, 0);
+    check(24, |rng| {
+        let faults = FaultPlanConfig {
+            seed: rng.next_u64(),
+            surrogate_crash_per_tick: rng.gen_range(0.0..0.2),
+            host_crash_per_tick: rng.gen_range(0.0..0.3),
+            partition_per_tick: rng.gen_range(0.0..0.1),
+            ..Default::default()
+        };
+        let end = rng.gen_range(10_000u64..120_000);
+        let plan = FaultPlan::generate(&faults, 0..end, clusters, hosts, &asns);
+        let mut steps: Vec<(u64, Step)> = plan
+            .events()
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (e.at_ms, Step::Fault(i)))
+            .collect();
+        for e in plan.events() {
+            if let FaultKind::AsPartition { asn, duration_ms } = e.kind {
+                steps.push((e.at_ms + duration_ms, Step::Heal(asn)));
+            }
+        }
+        let last = steps.iter().map(|&(at, _)| at).max().unwrap_or(0);
+        let mut at = HEARTBEAT_INTERVAL_MS;
+        while at <= last + 20 * HEARTBEAT_INTERVAL_MS {
+            steps.push((at, Step::Tick));
+            at += HEARTBEAT_INTERVAL_MS;
+        }
+        steps.sort_unstable();
+
+        let system = AsapSystem::bootstrap(s, AsapConfig::default());
+        // ASN → end of its latest partition.
+        let mut partitioned_until = BTreeMap::new();
+        for (now, step) in steps {
+            system.advance_to(now);
+            match step {
+                Step::Fault(i) => match plan.events()[i].kind {
+                    FaultKind::SurrogateCrash { cluster } => {
+                        system.silent_crash(system.surrogate_of(ClusterId(cluster)));
+                    }
+                    FaultKind::HostCrash { host } => {
+                        system.silent_crash(HostId(host));
+                    }
+                    FaultKind::AsPartition { asn, duration_ms } => {
+                        system.partition_as(asn);
+                        let until = partitioned_until.entry(asn).or_insert(0);
+                        *until = (*until).max(now + duration_ms);
+                    }
+                    other => unreachable!("fault {other:?} has a zero rate"),
+                },
+                Step::Heal(asn) => {
+                    if partitioned_until.get(&asn).is_some_and(|&u| u <= now) {
+                        partitioned_until.remove(&asn);
+                        system.heal_as(asn);
+                        heals += 1;
+                    }
+                }
+                Step::Tick => {
+                    demoted += system.membership_tick(now).len();
+                    check_sweep_post_condition(&system, now);
+                }
+            }
+        }
+    });
+    assert!(demoted > 0, "no sweep demoted a surrogate");
+    assert!(heals > 0, "no partition healed");
 }
 
 /// The tiny world 23 with its best-connected AS congested, so calls

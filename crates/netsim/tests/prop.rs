@@ -3,7 +3,9 @@
 use std::sync::{Arc, OnceLock};
 
 use asap_netsim::events::{EventQueue, SimTime};
-use asap_netsim::membership::{HEARTBEAT_INTERVAL_MS, PHI_SUSPECT};
+use asap_netsim::membership::{
+    HEARTBEAT_INTERVAL_MS, MIN_STD_MS, PHI_DEAD, PHI_SUSPECT, SUSPICION_WINDOW,
+};
 use asap_netsim::model::CONGESTED_ADDED_RTT_MS;
 use asap_netsim::{NetConfig, NetModel, SuspicionDetector, Verdict};
 use asap_rng::check::{check, vec};
@@ -219,4 +221,149 @@ fn regular_heartbeater_is_never_suspected() {
         // the next scheduled heartbeat would land.
         assert_eq!(d.verdict(now + interval), Verdict::Alive);
     });
+}
+
+/// The plain reference detector: the gap window rebuilt from every
+/// heartbeat accepted so far, and the estimate recomputed on each query.
+#[derive(Default)]
+struct ReferenceDetector {
+    /// Accepted heartbeats, in order (a beat earlier than the latest
+    /// accepted one is dropped).
+    beats: Vec<u64>,
+}
+
+impl ReferenceDetector {
+    fn heartbeat(&mut self, now: u64) {
+        if self.beats.last().is_none_or(|&last| now >= last) {
+            self.beats.push(now);
+        }
+    }
+
+    /// The estimated mean and deviation of the inter-arrival gaps.
+    fn estimate(&self) -> (f64, f64) {
+        // Gap i lands in slot i mod SUSPICION_WINDOW, so the window holds
+        // the latest SUSPICION_WINDOW gaps in that slot order.
+        let mut window: Vec<f64> = Vec::new();
+        for (i, pair) in self.beats.windows(2).enumerate() {
+            let gap = (pair[1] - pair[0]) as f64;
+            if i < SUSPICION_WINDOW {
+                window.push(gap);
+            } else {
+                window[i % SUSPICION_WINDOW] = gap;
+            }
+        }
+        if window.is_empty() {
+            return (HEARTBEAT_INTERVAL_MS as f64, MIN_STD_MS);
+        }
+        let n = window.len() as f64;
+        let mean = window.iter().sum::<f64>() / n;
+        let var = window.iter().map(|g| (g - mean) * (g - mean)).sum::<f64>() / n;
+        (
+            mean.max(HEARTBEAT_INTERVAL_MS as f64),
+            var.sqrt().max(MIN_STD_MS),
+        )
+    }
+
+    fn phi(&self, now: u64) -> f64 {
+        let Some(&last) = self.beats.last() else {
+            return 0.0;
+        };
+        let (mean, std) = self.estimate();
+        let silence = now.saturating_sub(last) as f64;
+        if silence <= mean {
+            return 0.0;
+        }
+        let z = (silence - mean) / (std * std::f64::consts::SQRT_2);
+        // Abramowitz–Stegun 7.1.26, as the detector evaluates it.
+        let t = 1.0 / (1.0 + 0.3275911 * z.abs());
+        let poly = t
+            * (0.254829592
+                + t * (-0.284496736 + t * (1.421413741 + t * (-1.453152027 + t * 1.061405429))));
+        let e = poly * (-z * z).exp();
+        let erfc = if z >= 0.0 { e } else { 2.0 - e };
+        -(0.5 * erfc).max(f64::MIN_POSITIVE).log10()
+    }
+}
+
+/// The detector's phi and verdict equal the plain reference's bit for
+/// bit on random schedules: regular, jittered, rapid and stalled beats,
+/// out-of-order and repeated beats, more gaps than the window holds, and
+/// queries at silence 0, exactly one heartbeat interval, exactly the
+/// estimated mean and around it, and far past it, several between beats.
+#[test]
+fn detector_matches_the_plain_reference() {
+    // Queries at exactly the mean above the interval floor, and queries
+    // past each threshold, summed over all cases.
+    let (mut at_mean, mut suspect, mut dead) = (0, 0, 0);
+    check(256, |rng| {
+        let base_gap = [HEARTBEAT_INTERVAL_MS, 300, 1_500, 2_000][rng.gen_range(0..4usize)];
+        let jitter = if rng.gen_bool(0.5) {
+            0
+        } else {
+            rng.gen_range(0u64..600)
+        };
+        let beats = rng.gen_range(0usize..200);
+        let mut d = SuspicionDetector::default();
+        let mut reference = ReferenceDetector::default();
+        let mut now = rng.gen_range(0u64..5_000);
+        let mut ask = |d: &SuspicionDetector, reference: &ReferenceDetector, t: u64| {
+            let (got, want) = (d.phi(t), reference.phi(t));
+            assert_eq!(got.to_bits(), want.to_bits(), "phi at {t}: {got} vs {want}");
+            let verdict = if want >= PHI_DEAD {
+                Verdict::Dead
+            } else if want >= PHI_SUSPECT {
+                Verdict::Suspect
+            } else {
+                Verdict::Alive
+            };
+            assert_eq!(d.verdict(t), verdict, "verdict at {t}");
+            suspect += usize::from(verdict == Verdict::Suspect);
+            dead += usize::from(verdict == Verdict::Dead);
+        };
+        for _ in 0..beats {
+            let beat = match rng.gen_range(0u32..10) {
+                // A stale packet from before the latest beat.
+                0 => now.saturating_sub(rng.gen_range(1u64..3_000)),
+                // A repeated beat: a zero gap.
+                1 => now,
+                // A stall, then the node comes back.
+                2 => {
+                    now += rng.gen_range(5_000u64..60_000);
+                    now
+                }
+                _ => {
+                    now += base_gap + rng.gen_range(0..=jitter);
+                    now
+                }
+            };
+            d.heartbeat(beat);
+            reference.heartbeat(beat);
+            let last = reference.beats.last().copied().unwrap_or(0);
+            let (mean, _) = reference.estimate();
+            if mean > HEARTBEAT_INTERVAL_MS as f64 && mean.fract() == 0.0 {
+                at_mean += 1;
+            }
+            for t in [
+                last,
+                last + HEARTBEAT_INTERVAL_MS,
+                last + HEARTBEAT_INTERVAL_MS + 1,
+                last + mean.floor() as u64,
+                last + mean.ceil() as u64 + 1,
+                last + rng.gen_range(0u64..20_000),
+                last + rng.gen_range(0u64..600_000),
+                now.saturating_sub(rng.gen_range(0u64..2_000)),
+            ] {
+                if rng.gen_bool(0.7) {
+                    ask(&d, &reference, t);
+                }
+            }
+        }
+        for _ in 0..4 {
+            ask(&d, &reference, now + rng.gen_range(0u64..120_000));
+        }
+    });
+    assert!(
+        at_mean > 0 && suspect > 0 && dead > 0,
+        "{at_mean} {suspect} {dead}"
+    );
 }
