@@ -9,7 +9,6 @@
 //! nodes to satisfy the VoIP quality requirements": disjointness is about
 //! *reliability*, not latency.
 
-use asap_cluster::Asn;
 use asap_telemetry::{LedgerScope, MessageKind};
 use asap_voip::QualityRequirement;
 use asap_workload::sessions::Session;
@@ -22,6 +21,13 @@ use crate::selector::{eval_one_hop, RelayPath, RelaySelector, SelectionOutcome};
 /// [`RandSel`], but *ranks* them by how early the caller→relay AS path
 /// diverges from the caller→callee direct path (ties by RTT). The best
 /// path reported is the most-disjoint one, not the fastest.
+///
+/// A candidate's divergence is found without materialising either AS
+/// path: the caller→relay route and the direct route (looked up once
+/// per select) are walked node by node by AS graph node index
+/// (`NetModel::route_idx`), stopping at the first node where they
+/// differ. [`EarliestDivergence::shared_prefix_len`], over two
+/// `as_path` vectors, is the plain reference it equals.
 #[derive(Debug, Clone)]
 pub struct EarliestDivergence {
     sampler: RandSel,
@@ -89,10 +95,10 @@ impl RelaySelector for EarliestDivergence {
         self.scope
             .record(MessageKind::ProbeRequest, candidates.len() as u64);
         let pop = &scenario.population;
-        let caller = pop.host(session.caller).asn;
-        // The direct path, walked at the first routable candidate and
-        // shared by all of them.
-        let mut direct: Option<Option<Vec<Asn>>> = None;
+        let caller = pop.host(session.caller).as_node;
+        // The direct route, looked up at the first routable candidate
+        // and shared by all of them.
+        let mut direct = None;
         for r in candidates {
             let Some(path) = eval_one_hop(scenario, session, r) else {
                 continue;
@@ -101,12 +107,15 @@ impl RelaySelector for EarliestDivergence {
             if requirement.rtt_ok(path.rtt_ms) {
                 out.quality_paths += 1;
             }
-            let direct = direct
-                .get_or_insert_with(|| scenario.net.as_path(caller, pop.host(session.callee).asn));
-            let shared = match direct {
-                Some(direct) => shared_prefix(scenario, direct, caller, pop.host(r).asn),
-                None => 0,
-            };
+            let direct = direct.get_or_insert_with(|| {
+                scenario
+                    .net
+                    .route_idx(caller, pop.host(session.callee).as_node)
+            });
+            let relay = pop.host(r).as_node;
+            let shared = (direct.as_ref()).map_or(0, |direct| {
+                shared_route_len(scenario, direct.clone(), caller, relay)
+            });
             let better = best
                 .as_ref()
                 .is_none_or(|(s, b)| shared.cmp(s).then(path.rtt_ms.total_cmp(&b.rtt_ms)).is_lt());
@@ -123,28 +132,85 @@ impl RelaySelector for EarliestDivergence {
     }
 }
 
-/// [`EarliestDivergence::shared_prefix_len`] given the direct path
-/// from `caller`: the leading ASes it shares with the route from
-/// `caller` to `relay`.
-fn shared_prefix(scenario: &Scenario, direct: &[Asn], caller: Asn, relay: Asn) -> usize {
-    let Some(via) = scenario.net.as_path(caller, relay) else {
-        return 0;
-    };
-    direct
-        .iter()
-        .zip(via.iter())
-        .take_while(|(a, b)| a == b)
-        .count()
+/// [`EarliestDivergence::shared_prefix_len`] by AS graph node index,
+/// given `direct`, the route's nodes after the caller's AS `caller`:
+/// the leading ASes it shares with the route from `caller` to `relay`.
+/// Both routes start at `caller`, which counts; the walk then stops at
+/// the first node where they differ. 0 when `relay` is unroutable.
+fn shared_route_len(
+    scenario: &Scenario,
+    direct: impl Iterator<Item = u32>,
+    caller: u32,
+    relay: u32,
+) -> usize {
+    match scenario.net.route_idx(caller, relay) {
+        Some(via) => 1 + direct.zip(via).take_while(|(a, b)| a == b).count(),
+        None => 0,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference::{self, bits};
+    use asap_cluster::Asn;
+    use asap_netsim::{NetConfig, NetModel};
+    use asap_topology::EdgeKind;
     use asap_workload::{Scenario, ScenarioConfig};
+    use std::sync::Arc;
 
     fn scenario() -> Scenario {
         Scenario::build(ScenarioConfig::tiny(), 64)
+    }
+
+    /// Tiny world 65 with the AS of host 0 re-annotated to peer with
+    /// its providers: it then routes only into their customer cones, so
+    /// from host 0 many relays, and some callees, are unroutable.
+    fn peering_only_caller_world() -> Scenario {
+        let mut s = Scenario::build(ScenarioConfig::tiny(), 65);
+        let asn = s.population.host(HostId(0)).asn;
+        let mut internet = (*s.internet).clone();
+        let providers: Vec<Asn> = internet.graph.providers(asn).collect();
+        for provider in providers {
+            internet.graph.add_edge(asn, provider, EdgeKind::PeerToPeer);
+        }
+        let internet = Arc::new(internet);
+        s.net = NetModel::new(Arc::clone(&internet), NetConfig::default(), 5);
+        s.internet = internet;
+        s
+    }
+
+    /// The divergence walk, with every host as the relay, against the
+    /// plain [`EarliestDivergence::shared_prefix_len`] over two
+    /// `as_path` vectors: on sessions of tiny world 64, and from host 0
+    /// of a world where its AS routes to few relays.
+    #[test]
+    fn divergence_walk_matches_shared_prefix_len() {
+        let (mut walked, mut unroutable) = (0, 0);
+        for (name, s) in [("64", scenario()), ("65", peering_only_caller_world())] {
+            let pop = &s.population;
+            let hosts = pop.hosts().len() as u32;
+            let sessions = (0..12u32).map(|i| Session {
+                caller: HostId(if i % 2 == 0 { 0 } else { (i * 37) % hosts }),
+                callee: HostId((i * 101 + 7) % hosts),
+            });
+            for (i, session) in sessions.enumerate() {
+                let caller = pop.host(session.caller).as_node;
+                let direct = s.net.route_idx(caller, pop.host(session.callee).as_node);
+                for relay in pop.hosts() {
+                    let reference = EarliestDivergence::shared_prefix_len(&s, session, relay.id);
+                    let shared = (direct.clone())
+                        .map_or(0, |d| shared_route_len(&s, d, caller, relay.as_node));
+                    assert_eq!(shared, reference, "world {name}, session {i}, {}", relay.id);
+                    if direct.is_some() {
+                        walked += 1;
+                        unroutable += usize::from(shared == 0);
+                    }
+                }
+            }
+        }
+        assert!(walked > unroutable, "no routable relay walked");
+        assert!(unroutable > 0, "no unroutable relay walked");
     }
 
     #[test]
@@ -176,9 +242,26 @@ mod tests {
                     callee: HostId((i * 101 + 7) % hosts),
                 };
                 let reference = reference::ed_select(60, 9, &s, sess, &req);
-                let fast = ed.select(&s, sess, &req);
+                let queries = |select: &dyn Fn() -> SelectionOutcome| {
+                    let before = s.net.route_cache_stats();
+                    let out = select();
+                    let after = s.net.route_cache_stats();
+                    (out, after.0 + after.1 - before.0 - before.1)
+                };
+                let (fast, asked) = queries(&|| ed.select(&s, sess, &req));
+                let (_, probes) = queries(&|| RandSel::new(60, 9).select(&s, sess, &req));
                 let what = format!("seed {scenario_seed}, session {i}");
                 assert_eq!(bits(&fast), bits(&reference), "{what}");
+                // RAND's probe legs, then one tree lookup for the direct
+                // route and, when it is routable, one per probed relay.
+                let pop = &s.population;
+                let direct = (s.net).as_path(pop.host(sess.caller).asn, pop.host(sess.callee).asn);
+                let walks = match fast.probed_nodes {
+                    0 => 0,
+                    n if direct.is_some() => 1 + n,
+                    _ => 1,
+                };
+                assert_eq!(asked, probes + walks, "route queries of {what}");
             }
         }
     }

@@ -1,6 +1,5 @@
 //! OPT: the offline optimal relay selection.
 
-use asap_cluster::Asn;
 use asap_netsim::RELAY_DELAY_RTT_MS;
 use asap_telemetry::LedgerScope;
 use asap_voip::QualityRequirement;
@@ -66,13 +65,15 @@ impl RelaySelector for Opt {
 
     /// One pass per AS group of [`Population::as_groups`]: the group's
     /// two legs (caller → AS, AS → callee) cost one route query each,
-    /// and within a group the full legs and the one-hop RTT never
-    /// decrease along the group's `(access_ms, id)` order, since they
-    /// add the relay's access delay to fixed terms. So the quality-path
-    /// count is a `partition_point`, and the best one-hop path and the
-    /// two-hop candidate lists stop reading a group at the first host
-    /// past their bound. Ties go to the smaller `(value, HostId)`,
-    /// which is what a scan in host order with a strict `<` keeps.
+    /// asked by AS graph node index, and within a group the full legs
+    /// and the one-hop RTT never decrease along the group's
+    /// `(access_ms, id)` order, since they add the relay's access delay
+    /// to fixed terms. So the quality-path count is a `partition_point`
+    /// over the group's contiguous access-delay slice, and the best
+    /// one-hop path and the two-hop candidate lists stop reading a group
+    /// at the first host past their bound, reading no `Host` record.
+    /// Ties go to the smaller `(value, HostId)`, which is what a scan in
+    /// host order with a strict `<` keeps.
     ///
     /// [`Population::as_groups`]: asap_workload::Population::as_groups
     fn select(
@@ -101,38 +102,40 @@ impl RelaySelector for Opt {
         let mut from_a = TopK::new(self.two_hop_candidates);
         let mut to_b = TopK::new(self.two_hop_candidates);
 
-        for (asn, group) in pop.as_groups() {
-            let relays = group.len() - ends.iter().filter(|e| e.asn == asn).count();
+        for group in pop.as_groups() {
+            let relays =
+                group.hosts.len() - ends.iter().filter(|e| e.as_node == group.node).count();
             if relays == 0 {
                 continue;
             }
-            let a_leg = scenario.net.as_metrics(caller.asn, asn);
-            let b_leg = scenario.net.as_metrics(asn, callee.asn);
+            let a_leg = scenario.net.as_metrics_idx(caller.as_node, group.node);
+            let b_leg = scenario.net.as_metrics_idx(group.node, callee.as_node);
             let (Some((a_leg, la)), Some((b_leg, lb))) = (a_leg, b_leg) else {
                 continue;
             };
             let loss = 1.0 - (1.0 - la) * (1.0 - lb);
-            // `(a_full, b_full, rtt)` through relay `id` of this group.
-            let legs = |id: HostId| {
-                let access = 2.0 * pop.host(id).access_ms;
+            // `(a_full, b_full, rtt)` through a relay of this group with
+            // access delay `access_ms`.
+            let legs = |access_ms: f64| {
+                let access = 2.0 * access_ms;
                 let a_full = a_leg + 2.0 * caller.access_ms + access;
                 let b_full = b_leg + access + 2.0 * callee.access_ms;
                 (a_full, b_full, a_full + b_full + RELAY_DELAY_RTT_MS)
             };
 
             out.probed_nodes += relays as u64;
-            let quality = group.partition_point(|&id| requirement.rtt_ok(legs(id).2));
+            let quality = (group.access_ms).partition_point(|&a| requirement.rtt_ok(legs(a).2));
             let quality_endpoints = ends
                 .iter()
-                .filter(|e| e.asn == asn && requirement.rtt_ok(legs(e.id).2))
+                .filter(|e| e.as_node == group.node && requirement.rtt_ok(legs(e.access_ms).2))
                 .count();
             out.quality_paths += (quality - quality_endpoints) as u64;
 
-            for &id in group {
+            for (&id, &access_ms) in group.hosts.iter().zip(group.access_ms) {
                 if is_endpoint(id) {
                     continue;
                 }
-                let (a_full, b_full, rtt) = legs(id);
+                let (a_full, b_full, rtt) = legs(access_ms);
                 let mut admitted = false;
                 for (top, value, loss) in [
                     (&mut best, rtt, loss),
@@ -218,31 +221,32 @@ fn pair_two_hop(
     out: &mut SelectionOutcome,
 ) {
     let pop = &scenario.population;
-    // Each list's relay ASes, numbered in order of first appearance.
+    // Each list's relay ASes (by AS graph node index), numbered in order
+    // of first appearance.
     let number = |legs: &[Ranked]| {
-        let mut ases: Vec<Asn> = Vec::new();
+        let mut nodes: Vec<u32> = Vec::new();
         let slots: Vec<usize> = legs
             .iter()
             .map(|l| {
-                let asn = pop.host(l.relay).asn;
-                ases.iter().position(|&a| a == asn).unwrap_or_else(|| {
-                    ases.push(asn);
-                    ases.len() - 1
+                let node = pop.host(l.relay).as_node;
+                nodes.iter().position(|&n| n == node).unwrap_or_else(|| {
+                    nodes.push(node);
+                    nodes.len() - 1
                 })
             })
             .collect();
-        (ases, slots)
+        (nodes, slots)
     };
-    let (a_ases, a_slots) = number(from_a);
-    let (b_ases, b_slots) = number(to_b);
-    let mut mids: Vec<Option<Option<(f64, f64)>>> = vec![None; a_ases.len() * b_ases.len()];
+    let (a_nodes, a_slots) = number(from_a);
+    let (b_nodes, b_slots) = number(to_b);
+    let mut mids: Vec<Option<Option<(f64, f64)>>> = vec![None; a_nodes.len() * b_nodes.len()];
     for (a, &i) in from_a.iter().zip(&a_slots) {
         for (b, &j) in to_b.iter().zip(&b_slots) {
             if a.relay == b.relay {
                 continue;
             }
-            let mid = *mids[i * b_ases.len() + j]
-                .get_or_insert_with(|| scenario.net.as_metrics(a_ases[i], b_ases[j]));
+            let mid = *mids[i * b_nodes.len() + j]
+                .get_or_insert_with(|| scenario.net.as_metrics_idx(a_nodes[i], b_nodes[j]));
             let Some((mid, l2)) = mid else {
                 continue;
             };
@@ -272,6 +276,7 @@ fn pair_two_hop(
 mod tests {
     use super::*;
     use crate::reference::{self, bits};
+    use asap_cluster::Asn;
     use asap_workload::ScenarioConfig;
 
     #[test]
@@ -383,10 +388,10 @@ mod tests {
                 })
                 .collect();
             // Caller and callee in one AS: that group loses two relays.
-            let shared = pop.as_groups().filter(|(_, g)| g.len() > 2).take(3);
-            sessions.extend(shared.map(|(_, group)| Session {
-                caller: group[0],
-                callee: group[group.len() - 1],
+            let shared = pop.as_groups().filter(|g| g.hosts.len() > 2).take(3);
+            sessions.extend(shared.map(|g| Session {
+                caller: g.hosts[0],
+                callee: g.hosts[g.hosts.len() - 1],
             }));
             for (i, &session) in sessions.iter().enumerate() {
                 check(&world, session, &format!("{name} session {i}"));
@@ -405,7 +410,7 @@ mod tests {
         let firsts: Vec<(Asn, HostId)> = world
             .population
             .as_groups()
-            .map(|(asn, group)| (asn, group[0]))
+            .map(|g| (g.asn, g.hosts[0]))
             .collect();
         for &(c, caller) in &firsts {
             for &(d, callee) in &firsts {

@@ -15,6 +15,7 @@
 //! cluster delegate, by `ping`); clusters within both thresholds enter the
 //! close cluster set.
 
+use std::cell::RefCell;
 use std::sync::OnceLock;
 
 use asap_cluster::ClusterId;
@@ -26,18 +27,20 @@ use crate::config::AsapConfig;
 
 /// One member of a close cluster set: a cluster reachable within the
 /// thresholds, with its measured leg properties.
+///
+/// 24 bytes. The entry names no surrogate: the surrogate measured at
+/// build time may since have been replaced, so readers ask their
+/// `surrogate_of` for the cluster's live one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CloseClusterEntry {
     /// The close cluster.
     pub cluster: ClusterId,
-    /// The cluster's surrogate host (relay candidate representative).
-    pub surrogate: HostId,
+    /// Valley-free AS hops at which the cluster's AS was reached.
+    pub as_hops: u32,
     /// Measured RTT from the owning surrogate to this cluster, ms.
     pub rtt_ms: f64,
     /// Measured loss rate of that leg.
     pub loss: f64,
-    /// Valley-free AS hops at which the cluster's AS was reached.
-    pub as_hops: usize,
 }
 
 /// Marks a cluster without an entry in [`CloseClusterSet`]'s position
@@ -112,6 +115,22 @@ impl CloseClusterSet {
         self.get(cluster).is_some()
     }
 
+    /// The set of `entries`, in their order, each `Vec` allocated once
+    /// at its final size. A cluster listed twice keeps both entries, and
+    /// [`CloseClusterSet::get`] answers with the later one.
+    fn built(entries: &[CloseClusterEntry], construction_messages: u64) -> Self {
+        let clusters = entries.iter().map(|e| e.cluster.0 as usize + 1).max();
+        let mut position = vec![ABSENT; clusters.unwrap_or(0)];
+        for (i, e) in (0u32..).zip(entries) {
+            position[e.cluster.0 as usize] = i;
+        }
+        CloseClusterSet {
+            entries: entries.to_vec(),
+            position,
+            construction_messages,
+        }
+    }
+
     /// Appends `entry`. A cluster pushed twice keeps both entries, and
     /// [`CloseClusterSet::get`] answers with the later one.
     fn push(&mut self, entry: CloseClusterEntry) {
@@ -133,6 +152,14 @@ impl CloseClusterSet {
 /// An index from AS to the clusters it originates, shared by all
 /// surrogates (the bootstrap's prefix → ASN table, inverted). ASes are
 /// keyed by their node index in the scenario's AS graph.
+///
+/// The index also owns the builds' scratch list: a build collects its
+/// entries there, then copies them into the set at their final size,
+/// so a set keeps no growth slack and a warm build allocates only the
+/// set itself and its search. The scratch sits in a `RefCell`, so an index
+/// (like the [`AsapSystem`] owning it) is `Send` but not `Sync`.
+///
+/// [`AsapSystem`]: crate::AsapSystem
 #[derive(Debug, Clone, Default)]
 pub struct ClusterIndex {
     by_node: Vec<Vec<ClusterId>>,
@@ -140,6 +167,8 @@ pub struct ClusterIndex {
     /// only ASes where a build measures, adds an entry or prunes),
     /// derived on the first valley-free build.
     reach: OnceLock<ReachTable>,
+    /// The entries of the build in progress; empty between builds.
+    scratch: RefCell<Vec<CloseClusterEntry>>,
 }
 
 impl ClusterIndex {
@@ -160,6 +189,7 @@ impl ClusterIndex {
         ClusterIndex {
             by_node,
             reach: OnceLock::new(),
+            scratch: RefCell::default(),
         }
     }
 
@@ -234,13 +264,16 @@ pub fn construct_close_cluster_set_with_mode(
         .asn();
     let origin_surrogate = surrogate_of(origin_cluster);
     let origin_host = scenario.population.host(origin_surrogate);
-    let origin_host_node = graph.index_of(origin_host.asn);
 
     let origin_node = graph
         .index_of(origin_asn)
         .expect("origin cluster's AS is in the AS graph");
 
-    let mut set = CloseClusterSet::default();
+    // Taken, not borrowed: a build that re-entered would start on an
+    // empty list rather than panic.
+    let mut entries = index.scratch.take();
+    entries.clear();
+    let mut construction_messages = 0;
 
     // Clusters co-located in the origin AS are close by construction
     // (intra-AS latency), at 0 AS hops — no ping is sent, so no
@@ -252,18 +285,17 @@ pub fn construct_close_cluster_set_with_mode(
         let peer = surrogate_of(c);
         if let Some((rtt, loss)) = measure(scenario, origin_surrogate, peer) {
             if rtt < config.lat_t_ms && loss < config.loss_t {
-                set.push(CloseClusterEntry {
+                entries.push(CloseClusterEntry {
                     cluster: c,
-                    surrogate: peer,
+                    as_hops: 0,
                     rtt_ms: rtt,
                     loss,
-                    as_hops: 0,
                 });
             }
         }
     }
 
-    let visit = |node, hops| {
+    let visit = |node, hops: usize| {
         let clusters = index.clusters_at(node);
         if clusters.is_empty() {
             // No peers there (only the unconstrained search stops at
@@ -271,10 +303,9 @@ pub fn construct_close_cluster_set_with_mode(
             // ASes carry no clusters but lead to ones that do).
             return Expand::Continue;
         }
-        let asn = graph.asn_at(node);
         // The AS-level leg into this AS, walked at most once per visit:
         // every surrogate inside the AS shares it and adds only its own
-        // access delay, summed as `NetModel::host_metrics` sums it. A
+        // access delay, summed as `Scenario::host_metrics` sums it. A
         // surrogate elsewhere, or the origin surrogate itself (whose
         // `lat()` is 0 ms), is measured on its own.
         let mut core_leg = None;
@@ -284,30 +315,28 @@ pub fn construct_close_cluster_set_with_mode(
         for &c in clusters {
             let peer = surrogate_of(c);
             let peer_host = scenario.population.host(peer);
-            let measured = match origin_host_node {
-                Some(from) if peer_host.asn == asn && peer != origin_surrogate => {
-                    let leg =
-                        *core_leg.get_or_insert_with(|| scenario.net.as_metrics_idx(from, node));
-                    leg.map(|(core, loss)| {
-                        let rtt = core + 2.0 * origin_host.access_ms + 2.0 * peer_host.access_ms;
-                        (rtt, loss)
-                    })
-                }
-                _ => measure(scenario, origin_surrogate, peer),
+            let measured = if peer_host.as_node == node && peer != origin_surrogate {
+                let leg = *core_leg
+                    .get_or_insert_with(|| scenario.net.as_metrics_idx(origin_host.as_node, node));
+                leg.map(|(core, loss)| {
+                    let rtt = core + 2.0 * origin_host.access_ms + 2.0 * peer_host.access_ms;
+                    (rtt, loss)
+                })
+            } else {
+                measure(scenario, origin_surrogate, peer)
             };
             let Some((rtt, loss)) = measured else {
                 // No measurement completed: no ping pair to account.
                 continue;
             };
-            set.construction_messages += 2;
+            construction_messages += 2;
             best_rtt = best_rtt.min(rtt);
             if rtt < config.lat_t_ms && loss < config.loss_t {
-                set.push(CloseClusterEntry {
+                entries.push(CloseClusterEntry {
                     cluster: c,
-                    surrogate: peer,
+                    as_hops: hops as u32,
                     rtt_ms: rtt,
                     loss,
-                    as_hops: hops,
                 });
             }
         }
@@ -326,9 +355,8 @@ pub fn construct_close_cluster_set_with_mode(
         }
     }
 
-    // Built sets live in the close-set cache; keep no growth slack.
-    set.entries.shrink_to_fit();
-    set.position.shrink_to_fit();
+    let set = CloseClusterSet::built(&entries, construction_messages);
+    index.scratch.replace(entries);
     set
 }
 
@@ -364,7 +392,7 @@ mod tests {
         for e in set.entries() {
             assert!(e.rtt_ms < config.lat_t_ms, "{} ≥ latT", e.rtt_ms);
             assert!(e.loss < config.loss_t);
-            assert!(e.as_hops <= config.k);
+            assert!(e.as_hops as usize <= config.k);
             assert_ne!(e.cluster, origin, "origin never lists itself");
         }
     }
@@ -510,11 +538,24 @@ mod tests {
         }
     }
 
+    /// Every set is written once at its final size, also when the
+    /// index's scratch list is warm from a larger build: no growth
+    /// slack in its entries, and a position index that ends at its
+    /// largest cluster.
     #[test]
     fn built_sets_keep_no_spare_capacity() {
         let (scenario, index, config) = setup();
         let surrogate = delegate_surrogates(&scenario);
-        for c in scenario.population.clustering().clusters() {
+        let mut sizes = std::collections::BTreeSet::new();
+        let clusters = scenario.population.clustering().clusters();
+        for (c, lat_t_ms) in clusters
+            .iter()
+            .zip([300.0, 25.0, 60.0, 12.0].iter().cycle())
+        {
+            let config = AsapConfig {
+                lat_t_ms: *lat_t_ms,
+                ..config
+            };
             for mode in [SearchMode::ValleyFree, SearchMode::Unconstrained] {
                 let set = construct_close_cluster_set_with_mode(
                     &scenario,
@@ -526,8 +567,12 @@ mod tests {
                 );
                 assert_eq!(set.entries.capacity(), set.entries.len());
                 assert_eq!(set.position.capacity(), set.position.len());
+                let last = set.entries.iter().map(|e| e.cluster.0 as usize + 1).max();
+                assert_eq!(set.position.len(), last.unwrap_or(0));
+                sizes.insert(set.len());
             }
         }
+        assert!(sizes.len() > 2, "set sizes {sizes:?}");
     }
 
     #[test]
@@ -544,7 +589,6 @@ mod tests {
     fn entry(cluster: u32, rtt_ms: f64) -> CloseClusterEntry {
         CloseClusterEntry {
             cluster: ClusterId(cluster),
-            surrogate: HostId(cluster),
             rtt_ms,
             loss: 0.001,
             as_hops: 1,

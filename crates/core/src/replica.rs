@@ -278,7 +278,6 @@ mod tests {
     fn entry(cluster: u32) -> CloseClusterEntry {
         CloseClusterEntry {
             cluster: ClusterId(cluster),
-            surrogate: HostId(10 * cluster),
             rtt_ms: 30.0,
             loss: 0.001,
             as_hops: 1,

@@ -256,12 +256,10 @@ pub fn select_close_relay<S: Borrow<CloseClusterSet>>(
 mod tests {
     use super::*;
     use crate::close_set::CloseClusterEntry;
-    use asap_workload::HostId;
 
     fn entry(cluster: u32, rtt: f64) -> CloseClusterEntry {
         CloseClusterEntry {
             cluster: ClusterId(cluster),
-            surrogate: HostId(cluster),
             rtt_ms: rtt,
             loss: 0.005,
             as_hops: 1,

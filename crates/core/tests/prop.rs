@@ -28,7 +28,6 @@ fn arb_entry(rng: &mut StdRng) -> CloseClusterEntry {
     let c = rng.gen_range(0..40);
     CloseClusterEntry {
         cluster: ClusterId(c),
-        surrogate: HostId(c),
         rtt_ms: rng.gen_range(1.0..280.0),
         loss: rng.gen_range(0.0..0.04),
         as_hops: rng.gen_range(0..5),
@@ -235,7 +234,6 @@ fn arb_boundary_entry(rng: &mut StdRng, max_cluster: u32) -> CloseClusterEntry {
     };
     CloseClusterEntry {
         cluster: ClusterId(c),
-        surrogate: HostId(c),
         rtt_ms,
         loss: rng.gen_range(0.0..0.04),
         as_hops: 1,
@@ -276,7 +274,6 @@ fn arb_grid_entry(rng: &mut StdRng, max_cluster: u32) -> CloseClusterEntry {
     let c = rng.gen_range(0..max_cluster);
     CloseClusterEntry {
         cluster: ClusterId(c),
-        surrogate: HostId(c),
         rtt_ms: 20.0 * f64::from(rng.gen_range(0u32..8)),
         loss: rng.gen_range(0.0..0.04),
         as_hops: 1,
@@ -534,7 +531,7 @@ fn close_sets_respect_any_configuration() {
         let mut listed = HashSet::new();
         for e in set.entries() {
             assert!(e.rtt_ms < lat_t);
-            assert!(e.as_hops <= k);
+            assert!(e.as_hops as usize <= k);
             assert_ne!(e.cluster, origin);
             assert!(listed.insert(e.cluster), "{:?} listed twice", e.cluster);
         }
@@ -584,7 +581,6 @@ fn reference_close_set(
             Some((rtt, loss)) if c != origin_cluster && close(rtt, loss) => {
                 entries.push(CloseClusterEntry {
                     cluster: c,
-                    surrogate: peer,
                     rtt_ms: rtt,
                     loss,
                     as_hops: 0,
@@ -612,10 +608,9 @@ fn reference_close_set(
             if close(rtt, loss) {
                 entries.push(CloseClusterEntry {
                     cluster: c,
-                    surrogate: peer,
                     rtt_ms: rtt,
                     loss,
-                    as_hops: reached.hops,
+                    as_hops: reached.hops as u32,
                 });
             }
         }
@@ -635,20 +630,12 @@ fn reference_close_set(
     (entries, messages)
 }
 
-type EntryBits = (ClusterId, HostId, u64, u64, usize);
+type EntryBits = (ClusterId, u32, u64, u64);
 
 fn entry_bits(entries: &[CloseClusterEntry]) -> Vec<EntryBits> {
     entries
         .iter()
-        .map(|e| {
-            (
-                e.cluster,
-                e.surrogate,
-                e.rtt_ms.to_bits(),
-                e.loss.to_bits(),
-                e.as_hops,
-            )
-        })
+        .map(|e| (e.cluster, e.as_hops, e.rtt_ms.to_bits(), e.loss.to_bits()))
         .collect()
 }
 

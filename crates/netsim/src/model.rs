@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use asap_cluster::Asn;
-use asap_topology::routing::BgpRouter;
+use asap_topology::routing::{BgpRouter, RouteHops};
 use asap_topology::{AsTier, SyntheticInternet};
 
 use crate::memo::RouteMemo;
@@ -224,6 +224,21 @@ impl NetModel {
         self.router.path(&self.internet.graph, a, b)
     }
 
+    /// The policy route from node index `src` to node index `dest`: the
+    /// node indices after `src`, ending at `dest` (none when they are
+    /// equal), or `None` if no policy route exists. One routing-tree
+    /// lookup, counted in [`NetModel::route_cache_stats`] as
+    /// [`NetModel::as_path`] counts it; the walk allocates nothing and
+    /// hashes no AS number.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is not a node index of the model's graph.
+    pub fn route_idx(&self, src: u32, dest: u32) -> Option<RouteHops<'_>> {
+        let tree = self.router.tree_idx(&self.internet.graph, dest);
+        tree.route_idx(src)
+    }
+
     /// AS-hop count of the direct policy route.
     pub fn as_hops(&self, a: Asn, b: Asn) -> Option<usize> {
         if !self.internet.graph.contains(a) || !self.internet.graph.contains(b) {
@@ -245,7 +260,8 @@ impl NetModel {
     /// Round-trip time in milliseconds between (the delegate routers of)
     /// two ASes along the direct BGP route, or `None` if no policy route
     /// exists. Includes congestion/failure inflation; excludes end-host
-    /// access delays (see [`NetModel::host_rtt_ms`]).
+    /// access delays (`Scenario::host_rtt_ms` in `asap-workload` adds
+    /// them).
     pub fn as_rtt_ms(&self, a: Asn, b: Asn) -> Option<f64> {
         self.as_metrics(a, b).map(|(rtt, _)| rtt)
     }
@@ -422,23 +438,6 @@ impl NetModel {
         loss.min(1.0)
     }
 
-    /// Round-trip time between two end hosts, given each host's AS and
-    /// access-link delay: the AS-level RTT plus both hosts' access RTTs.
-    pub fn host_rtt_ms(&self, a: (Asn, f64), b: (Asn, f64)) -> Option<f64> {
-        self.host_metrics(a, b).map(|(rtt, _)| rtt)
-    }
-
-    /// Round-trip time and loss probability between two end hosts from
-    /// one route lookup: `(host_rtt_ms, as_loss)` of the pair.
-    pub fn host_metrics(
-        &self,
-        (asn_a, access_a_ms): (Asn, f64),
-        (asn_b, access_b_ms): (Asn, f64),
-    ) -> Option<(f64, f64)> {
-        let (core, loss) = self.as_metrics(asn_a, asn_b)?;
-        Some((core + 2.0 * access_a_ms + 2.0 * access_b_ms, loss))
-    }
-
     /// Intra-AS RTT between two hosts of the same AS (small, distance
     /// independent, deterministic per AS).
     fn intra_as_rtt_ms(&self, asn: Asn) -> f64 {
@@ -586,15 +585,6 @@ mod tests {
         let relay = leg1 + leg2 + crate::RELAY_DELAY_RTT_MS;
         assert!(relay > leg1 && relay > leg2);
         assert!(relay >= crate::RELAY_DELAY_RTT_MS);
-    }
-
-    #[test]
-    fn host_rtt_adds_access_delays() {
-        let m = model(8);
-        let stubs = m.internet().stub_asns();
-        let core = m.as_rtt_ms(stubs[0], stubs[1]).unwrap();
-        let host = m.host_rtt_ms((stubs[0], 10.0), (stubs[1], 5.0)).unwrap();
-        assert!((host - (core + 30.0)).abs() < 1e-9);
     }
 
     #[test]

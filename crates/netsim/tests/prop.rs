@@ -10,6 +10,7 @@ use asap_netsim::model::CONGESTED_ADDED_RTT_MS;
 use asap_netsim::{NetConfig, NetModel, SuspicionDetector, Verdict};
 use asap_rng::check::{check, vec};
 use asap_topology::{InternetConfig, InternetGenerator, SyntheticInternet};
+use asap_workload::{Scenario, ScenarioConfig};
 
 fn shared() -> &'static (Arc<SyntheticInternet>, NetModel) {
     static SHARED: OnceLock<(Arc<SyntheticInternet>, NetModel)> = OnceLock::new();
@@ -98,21 +99,21 @@ fn link_condition_is_deterministic_and_bounded() {
     });
 }
 
+fn shared_scenario() -> &'static Scenario {
+    static SHARED: OnceLock<Scenario> = OnceLock::new();
+    SHARED.get_or_init(|| Scenario::build(ScenarioConfig::tiny(), 77))
+}
+
 #[test]
 fn host_rtt_decomposes() {
     check(256, |rng| {
-        let i = rng.gen_range(0usize..80);
-        let j = rng.gen_range(0usize..80);
-        let acc_a = rng.gen_range(0.0f64..40.0);
-        let acc_b = rng.gen_range(0.0f64..40.0);
-        let (net, model) = shared();
-        let stubs = net.stub_asns();
-        let (a, b) = (stubs[i % stubs.len()], stubs[j % stubs.len()]);
-        if let (Some(core), Some(host)) = (
-            model.as_rtt_ms(a, b),
-            model.host_rtt_ms((a, acc_a), (b, acc_b)),
-        ) {
-            assert!((host - core - 2.0 * acc_a - 2.0 * acc_b).abs() < 1e-9);
+        let s = shared_scenario();
+        let hosts = s.population.hosts();
+        let a = &hosts[rng.gen_range(0..hosts.len())];
+        let b = &hosts[rng.gen_range(0..hosts.len())];
+        if let (Some(core), Some(host)) = (s.net.as_rtt_ms(a.asn, b.asn), s.host_rtt_ms(a.id, b.id))
+        {
+            assert!((host - core - 2.0 * a.access_ms - 2.0 * b.access_ms).abs() < 1e-9);
         }
     });
 }

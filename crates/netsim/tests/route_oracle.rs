@@ -6,6 +6,8 @@
 //! over the materialised `as_path` are the plain reference, and a fresh
 //! model's first answer is the memo's: every float must be bit-equal to
 //! both, under any AS conditions, and from any number of threads.
+//! `Scenario::host_metrics`, which asks by the hosts' AS node indices,
+//! must equal `as_metrics` by ASN plus both access terms.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Barrier};
@@ -128,19 +130,87 @@ fn index_walk_is_bit_equal_to_the_path_reference() {
     assert_eq!(m.route_cache_stats().1, asns.len() as u64);
 }
 
+/// Checks `Scenario::host_metrics` of every pair in `pairs`, asked by
+/// the hosts' AS node indices, against `as_metrics` by ASN plus both
+/// access terms, bit for bit, and against `host_rtt_ms`/`host_loss`.
+/// Each query must cost what `as_metrics` costs: one route lookup
+/// between distinct ASes, none inside one AS. Returns the number of
+/// routable pairs.
+fn check_host_metrics(s: &Scenario, pairs: impl Iterator<Item = (usize, usize)>) -> usize {
+    let hosts = s.population.hosts();
+    let mut routed = 0;
+    for (i, j) in pairs {
+        let (a, b) = (&hosts[i], &hosts[j]);
+        let before = s.net.route_cache_stats();
+        let fast = s.host_metrics(a.id, b.id);
+        let after = s.net.route_cache_stats();
+        let lookups = after.0 + after.1 - before.0 - before.1;
+        assert_eq!(lookups, u64::from(a.asn != b.asn), "{} -> {}", a.id, b.id);
+        let reference = (s.net.as_metrics(a.asn, b.asn))
+            .map(|(core, loss)| (core + 2.0 * a.access_ms + 2.0 * b.access_ms, loss));
+        assert_eq!(bits(fast), bits(reference), "{} -> {}", a.id, b.id);
+        let split = s.host_rtt_ms(a.id, b.id).zip(s.host_loss(a.id, b.id));
+        assert_eq!(bits(fast), bits(split), "{} -> {}", a.id, b.id);
+        routed += usize::from(fast.is_some());
+    }
+    routed
+}
+
+/// Random host pairs, and pairs inside one AS, of two tiny worlds.
 #[test]
 fn host_metrics_match_host_rtt_and_as_loss() {
-    let m = model(6);
-    let stubs = m.internet().stub_asns();
-    for (i, &a) in stubs.iter().enumerate().take(20) {
-        for &b in stubs.iter().skip(i).take(20) {
-            let (ha, hb) = ((a, 3.5), (b, 11.25));
-            assert_eq!(
-                bits(m.host_metrics(ha, hb)),
-                bits(m.host_rtt_ms(ha, hb).zip(m.as_loss(a, b)))
-            );
-        }
+    for seed in [6, 7] {
+        let s = Scenario::build(ScenarioConfig::tiny(), seed);
+        let n = s.population.hosts().len();
+        let random = (0..400).map(|i| ((i * 37) % n, (i * 101 + 7) % n));
+        assert!(check_host_metrics(&s, random) > 0);
+        // Hosts are indexed by id: each AS's first host with every host
+        // of that AS.
+        let same_as: Vec<(usize, usize)> = (s.population.as_groups())
+            .flat_map(|g| {
+                g.hosts
+                    .iter()
+                    .map(move |h| (g.hosts[0].0 as usize, h.0 as usize))
+            })
+            .collect();
+        assert!(same_as.iter().any(|(a, b)| a != b), "no AS holds two hosts");
+        check_host_metrics(&s, same_as.into_iter());
     }
+}
+
+/// The index path in a faulted world: the model is rebuilt with the
+/// dense core-link and transit congestion of
+/// `index_walk_is_bit_equal_to_the_path_reference`, then the first
+/// transit AS of a long route fails, the last is congested, and a host
+/// AS fails, so queries cross every condition.
+#[test]
+fn host_metrics_by_node_index_match_as_metrics_in_a_faulted_world() {
+    let mut s = Scenario::build(ScenarioConfig::tiny(), 8);
+    let dense = NetConfig {
+        congestion_prob_core_link: 0.3,
+        congestion_prob_transit: 0.2,
+    };
+    s.net = NetModel::new(Arc::clone(&s.internet), dense, 5);
+    let hosts = s.population.hosts();
+    let n = hosts.len();
+    let path = (0..n)
+        .filter_map(|i| s.net.as_path(hosts[0].asn, hosts[i].asn))
+        .max_by_key(Vec::len)
+        .expect("host 0 routes somewhere");
+    assert!(path.len() >= 4, "longest route {path:?}");
+    let host_as = hosts[n / 2].asn;
+    let (failed, congested) = (path[1], path[path.len() - 2]);
+    s.net.set_condition(failed, AsCondition::Failed);
+    s.net.set_condition(
+        congested,
+        AsCondition::Congested {
+            added_rtt_ms: 120.0,
+            added_loss: 0.02,
+        },
+    );
+    s.net.set_condition(host_as, AsCondition::Failed);
+    let pairs = (0..n).flat_map(|i| [(0, i), (i, 0), (n / 2, i), (i, (i * 37) % n)]);
+    assert!(check_host_metrics(&s, pairs) > 0);
 }
 
 #[test]
@@ -354,11 +424,7 @@ fn four_threads_racing_first_touches_agree_with_one_thread() {
 fn eval_scale_endpoint_pairs_match_the_path_reference() {
     let scenario = Scenario::build(ScenarioConfig::eval_scale(), 1);
     let net = &scenario.net;
-    let ases: Vec<Asn> = scenario
-        .population
-        .as_groups()
-        .map(|(asn, _)| asn)
-        .collect();
+    let ases: Vec<Asn> = scenario.population.as_groups().map(|g| g.asn).collect();
     assert_eq!(ases.len(), 330);
     assert_eq!(net.route_cache_stats(), (0, 0), "the model starts cold");
     let cold = ask_all(net, &ases);

@@ -251,7 +251,10 @@ impl ReachTable {
         let mut flags = vec![0u8; self.dist.len()];
         // The origin itself is never visited.
         flags[origin_idx as usize] = seen(Phase::Up) | VISITED;
-        let mut queue = VecDeque::from([(origin_idx, Phase::Up, 0)]);
+        // Each state `(node, phase)` enters the FIFO at most once, so
+        // room for two per node is enough: one allocation, no growth.
+        let mut queue = VecDeque::with_capacity(2 * self.dist.len());
+        queue.push_back((origin_idx, Phase::Up, 0));
 
         while let Some((idx, phase, hops)) = queue.pop_front() {
             let f = &mut flags[idx as usize];

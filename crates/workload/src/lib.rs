@@ -38,6 +38,6 @@ mod scenario;
 pub mod sessions;
 
 pub use population::{
-    Host, HostId, NodalInfo, Population, PopulationConfig, ACCESS_MS, MAX_PREFIXES_PER_AS,
+    AsGroup, Host, HostId, NodalInfo, Population, PopulationConfig, ACCESS_MS, MAX_PREFIXES_PER_AS,
 };
 pub use scenario::{Scenario, ScenarioConfig};

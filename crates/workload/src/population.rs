@@ -40,6 +40,9 @@ impl NodalInfo {
 }
 
 /// One VoIP peer.
+///
+/// The record is 48 bytes: `as_node` sits in what would otherwise be
+/// padding after the three 4-byte identifiers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Host {
     /// Dense identifier within the population.
@@ -48,6 +51,11 @@ pub struct Host {
     pub ip: Ip,
     /// The AS the host's prefix is originated by.
     pub asn: Asn,
+    /// The node index of `asn` in the AS graph the population was
+    /// generated on (`AsGraph::index_of(asn)`), set once per AS by
+    /// [`Population::generate`], so host-level route queries
+    /// (`Scenario::host_metrics`) hash no AS number.
+    pub as_node: u32,
     /// One-way access-link delay in milliseconds.
     pub access_ms: f64,
     /// Published nodal information.
@@ -112,10 +120,28 @@ pub struct Population {
 /// one flat list rather than a `Vec` per AS.
 #[derive(Debug, Clone)]
 struct AsGroups {
-    /// Each group's AS and the end of its run in `hosts`.
-    ends: Vec<(Asn, usize)>,
+    /// Each group's AS, its AS graph node index and the end of its run
+    /// in `hosts`.
+    ends: Vec<(Asn, u32, usize)>,
     /// Every host id, group by group.
     hosts: Vec<HostId>,
+    /// The access delay of each host of `hosts`, at the same position.
+    access_ms: Vec<f64>,
+}
+
+/// One AS's hosts, as [`Population::as_groups`] lists them.
+#[derive(Debug, Clone, Copy)]
+pub struct AsGroup<'a> {
+    /// The AS.
+    pub asn: Asn,
+    /// Its node index in the AS graph (every host's [`Host::as_node`]).
+    pub node: u32,
+    /// Its hosts, ordered by `(access_ms, id)`.
+    pub hosts: &'a [HostId],
+    /// The access delay of each host of `hosts`, at the same position:
+    /// a contiguous, non-decreasing slice, so a scan or a binary search
+    /// over the group's delays reads no [`Host`] record.
+    pub access_ms: &'a [f64],
 }
 
 impl Population {
@@ -141,6 +167,10 @@ impl Population {
 
         while hosts.len() < config.target_hosts {
             let &asn = stub_iter.next().expect("cycle never ends");
+            let as_node = internet
+                .graph
+                .index_of(asn)
+                .expect("stub AS is in the AS graph");
             let prefixes = rng.gen_range(1..=MAX_PREFIXES_PER_AS);
             for _ in 0..prefixes {
                 if hosts.len() >= config.target_hosts {
@@ -175,6 +205,7 @@ impl Population {
                         id,
                         ip,
                         asn,
+                        as_node,
                         access_ms: alo + access_u.powi(4) * (ahi - alo),
                         nodal,
                     });
@@ -212,27 +243,32 @@ impl Population {
         &self.hosts[id.0 as usize]
     }
 
-    /// The hosts grouped by AS: one `(AS, hosts)` entry per AS that
-    /// holds a host, in order of each AS's first host, and each group's
-    /// hosts ordered by `(access_ms, id)`. An AS's hosts need not be
-    /// contiguous in [`Population::hosts`]. Derived on first use.
-    pub fn as_groups(&self) -> impl Iterator<Item = (Asn, &[HostId])> {
-        let AsGroups { ends, hosts } = self.as_groups.get_or_init(|| {
+    /// The hosts grouped by AS: one [`AsGroup`] per AS that holds a
+    /// host, in order of each AS's first host, and each group's hosts
+    /// ordered by `(access_ms, id)`, with their access delays beside
+    /// them. An AS's hosts need not be contiguous in
+    /// [`Population::hosts`]. Derived on first use.
+    pub fn as_groups(&self) -> impl Iterator<Item = AsGroup<'_>> {
+        let AsGroups {
+            ends,
+            hosts,
+            access_ms,
+        } = self.as_groups.get_or_init(|| {
             let mut slot: std::collections::HashMap<Asn, usize> = std::collections::HashMap::new();
-            let mut ends: Vec<(Asn, usize)> = Vec::new();
+            let mut ends: Vec<(Asn, u32, usize)> = Vec::new();
             let group: Vec<usize> = (self.hosts.iter())
                 .map(|h| {
                     *slot.entry(h.asn).or_insert_with(|| {
-                        ends.push((h.asn, 0));
+                        ends.push((h.asn, h.as_node, 0));
                         ends.len() - 1
                     })
                 })
                 .collect();
             for &g in &group {
-                ends[g].1 += 1;
+                ends[g].2 += 1;
             }
             let mut end = 0;
-            for (_, e) in &mut ends {
+            for (.., e) in &mut ends {
                 end += *e;
                 *e = end;
             }
@@ -242,10 +278,20 @@ impl Population {
                 let ((ga, aa), (gb, ab)) = (key(a), key(b));
                 ga.cmp(&gb).then(aa.total_cmp(&ab)).then(a.cmp(&b))
             });
-            AsGroups { ends, hosts }
+            let access_ms = hosts.iter().map(|&id| self.host(id).access_ms).collect();
+            AsGroups {
+                ends,
+                hosts,
+                access_ms,
+            }
         });
-        let starts = std::iter::once(0).chain(ends.iter().map(|&(_, end)| end));
-        (ends.iter().zip(starts)).map(|(&(asn, end), start)| (asn, &hosts[start..end]))
+        let starts = std::iter::once(0).chain(ends.iter().map(|&(.., end)| end));
+        (ends.iter().zip(starts)).map(|(&(asn, node, end), start)| AsGroup {
+            asn,
+            node,
+            hosts: &hosts[start..end],
+            access_ms: &access_ms[start..end],
+        })
     }
 
     /// The host owning `ip`, if any.
@@ -325,6 +371,16 @@ mod tests {
             assert!(prefix.contains(h.ip));
             assert_eq!(origin, h.asn, "host {} AS mismatch", h.ip);
         }
+    }
+
+    #[test]
+    fn every_host_carries_its_as_node_index() {
+        let (net, pop) = population();
+        for h in pop.hosts() {
+            assert_eq!(Some(h.as_node), net.graph.index_of(h.asn), "{}", h.id);
+        }
+        // The index fits the record's padding.
+        assert_eq!(std::mem::size_of::<Host>(), 48);
     }
 
     #[test]
@@ -420,15 +476,19 @@ mod tests {
         );
         let mut seen = vec![0u32; pop.hosts().len()];
         let mut ases = std::collections::HashSet::new();
-        for (asn, group) in pop.as_groups() {
+        for group in pop.as_groups() {
+            let asn = group.asn;
             assert!(ases.insert(asn), "{asn} has two groups");
-            assert!(!group.is_empty());
-            for &id in group {
+            assert!(!group.hosts.is_empty());
+            assert_eq!(group.node, net.graph.index_of(asn).unwrap());
+            assert_eq!(group.access_ms.len(), group.hosts.len());
+            for (&id, &access) in group.hosts.iter().zip(group.access_ms) {
                 assert_eq!(pop.host(id).asn, asn);
+                assert_eq!(access.to_bits(), pop.host(id).access_ms.to_bits());
                 seen[id.0 as usize] += 1;
             }
             let key = |id: HostId| (pop.host(id).access_ms, id);
-            assert!(group.windows(2).all(|w| key(w[0]) < key(w[1])));
+            assert!(group.hosts.windows(2).all(|w| key(w[0]) < key(w[1])));
         }
         assert!(seen.iter().all(|&n| n == 1));
         // The draw cycles through the stub ASes, so some AS's hosts are

@@ -114,11 +114,21 @@ impl Scenario {
     }
 
     /// `(host_rtt_ms, host_loss)` of the direct route between two hosts,
-    /// from one route lookup.
+    /// from one route lookup: the AS-level RTT plus both hosts' access
+    /// RTTs, and the AS-level loss. The lookup is by the hosts' AS graph
+    /// node indices ([`Host::as_node`]), so it hashes no AS number; it is
+    /// bit-equal to `NetModel::as_metrics` of their ASes plus
+    /// `2·access_a` then `2·access_b`.
+    ///
+    /// [`Host::as_node`]: crate::Host::as_node
     pub fn host_metrics(&self, a: HostId, b: HostId) -> Option<(f64, f64)> {
         let (ha, hb) = (self.population.host(a), self.population.host(b));
-        self.net
-            .host_metrics((ha.asn, ha.access_ms), (hb.asn, hb.access_ms))
+        // A model swapped in over a graph that numbers its ASes
+        // differently would answer for the wrong ASes.
+        let graph = &self.net.internet().graph;
+        debug_assert!(graph.asn_at(ha.as_node) == ha.asn && graph.asn_at(hb.as_node) == hb.asn);
+        let (core, loss) = self.net.as_metrics_idx(ha.as_node, hb.as_node)?;
+        Some((core + 2.0 * ha.access_ms + 2.0 * hb.access_ms, loss))
     }
 
     /// RTT of the one-hop relay path `a → r → b`: both legs' RTTs plus the
