@@ -19,7 +19,7 @@
 use asap_cluster::Asn;
 use asap_rng::{SliceRandom, StdRng};
 
-use crate::graph::{AsGraph, EdgeKind};
+use crate::graph::{AsGraph, EdgeKind, NodeIdx};
 
 /// The hierarchy tier an AS was generated in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -223,6 +223,7 @@ impl InternetGenerator {
         let mut graph = AsGraph::new();
         let mut tiers = Vec::new();
         let mut coords: Vec<(f64, f64)> = Vec::new();
+        let mut pool = ProviderPool::new(cfg.tier1 + cfg.transit);
         let mut next_asn = 1u32;
         let w = WORLD_SIZE;
 
@@ -231,34 +232,28 @@ impl InternetGenerator {
                          coords: &mut Vec<(f64, f64)>,
                          tier: AsTier,
                          xy: (f64, f64)| {
-            let asn = Asn(next_asn);
+            let idx = graph.add_node(Asn(next_asn));
             next_asn += 1;
-            let idx = graph.add_node(asn) as usize;
-            debug_assert_eq!(idx, tiers.len());
+            debug_assert_eq!(idx as usize, tiers.len());
             tiers.push(tier);
             coords.push(xy);
-            asn
+            idx
         };
 
         // --- Tier-1 clique, spread around the world. ---
-        let mut tier1 = Vec::new();
         for i in 0..cfg.tier1 {
             let angle = i as f64 / cfg.tier1 as f64 * std::f64::consts::TAU;
             let xy = (
                 w / 2.0 + w / 3.0 * angle.cos() + self.rng.gen_range(-w / 20.0..w / 20.0),
                 w / 2.0 + w / 3.0 * angle.sin() + self.rng.gen_range(-w / 20.0..w / 20.0),
             );
-            tier1.push(alloc(
-                &mut graph,
-                &mut tiers,
-                &mut coords,
-                AsTier::Tier1,
-                xy,
-            ));
+            let node = alloc(&mut graph, &mut tiers, &mut coords, AsTier::Tier1, xy);
+            pool.join(node);
         }
-        for i in 0..tier1.len() {
-            for j in (i + 1)..tier1.len() {
-                graph.add_edge(tier1[i], tier1[j], EdgeKind::PeerToPeer);
+        for i in 0..cfg.tier1 {
+            for j in (i + 1)..cfg.tier1 {
+                let (a, b) = (pool.node[i], pool.node[j]);
+                pool.link(&mut graph, a, b, EdgeKind::PeerToPeer);
             }
         }
 
@@ -267,42 +262,40 @@ impl InternetGenerator {
         // transit from the tier-1 clique directly, and are multi-homed
         // across several tier-1s; only a minority sit under another
         // transit AS. ---
-        let mut transits: Vec<Asn> = Vec::new();
         for _ in 0..cfg.transit {
-            // Prefer a tier-1 provider; if the clique is empty (a
-            // degenerate config), fall back to the combined provider
-            // tier before giving up.
-            let provider = if transits.is_empty() || self.rng.gen_bool(0.75) {
-                self.weighted_provider(&graph, tier1.iter())
-                    .or_else(|| self.weighted_provider(&graph, tier1.iter().chain(&transits)))
+            // The pool so far: the tier-1s, then the transits before this
+            // one. An empty clique leaves the first transit with no
+            // provider in either pool.
+            let pooled = pool.node.len();
+            let provider = if pooled == cfg.tier1 || self.rng.gen_bool(0.75) {
+                self.weighted_provider(&pool, cfg.tier1)
             } else {
-                self.weighted_provider(&graph, tier1.iter().chain(&transits))
+                self.weighted_provider(&pool, pooled)
             }
             .ok_or(GenError::EmptyProviderPool {
                 tier: AsTier::Transit,
             })?;
-            let (px, py) = coords[graph.index_of(provider).unwrap() as usize];
+            let (px, py) = coords[provider as usize];
             let xy = (
                 clamp((px + self.rng.gen_range(-w / 6.0..w / 6.0)).abs(), w),
                 clamp((py + self.rng.gen_range(-w / 6.0..w / 6.0)).abs(), w),
             );
-            let asn = alloc(&mut graph, &mut tiers, &mut coords, AsTier::Transit, xy);
-            graph.add_edge(provider, asn, EdgeKind::ProviderToCustomer);
-            // Transit ASes are multi-homed across additional tier-1s
-            // (skipped when the clique is empty — the fallback provider
-            // above already attached the AS).
+            let node = alloc(&mut graph, &mut tiers, &mut coords, AsTier::Transit, xy);
+            pool.join(node);
+            pool.link(&mut graph, provider, node, EdgeKind::ProviderToCustomer);
+            // Transit ASes are multi-homed across additional tier-1s. A
+            // repeated draw re-adds the same annotation, which changes
+            // nothing, so a transit has 1–4 distinct providers.
             for _ in 0..self.rng.gen_range(2..=3) {
-                let Some(second) = self.weighted_provider(&graph, tier1.iter()) else {
-                    break;
-                };
-                if second != asn && graph.edge_kind(second, asn).is_none() {
-                    graph.add_edge(second, asn, EdgeKind::ProviderToCustomer);
-                }
+                let second = self
+                    .weighted_provider(&pool, cfg.tier1)
+                    .expect("a transit attaches only under a non-empty clique");
+                pool.link(&mut graph, second, node, EdgeKind::ProviderToCustomer);
             }
-            transits.push(asn);
         }
 
         // --- Peering among transit ASes, preferring nearby ones. ---
+        let transits = pool.node[cfg.tier1..].to_vec();
         let peer_links = (cfg.transit as f64 * TRANSIT_PEERING / 2.0) as usize;
         for _ in 0..peer_links {
             if transits.len() < 2 {
@@ -311,46 +304,41 @@ impl InternetGenerator {
             let a = *transits.choose(&mut self.rng).unwrap();
             // Pick the geographically closest of a few random candidates:
             // peering is regional.
-            let ai = graph.index_of(a).unwrap() as usize;
             let best = (0..4)
                 .map(|_| *transits.choose(&mut self.rng).unwrap())
-                .filter(|&b| b != a && graph.edge_kind(a, b).is_none())
+                .filter(|&b| b != a && graph.edge_kind_idx(a, b).is_none())
                 .min_by(|&x, &y| {
-                    let d = |b: Asn| {
-                        let bi = graph.index_of(b).unwrap() as usize;
-                        dist(coords[ai], coords[bi])
-                    };
+                    let d = |b: NodeIdx| dist(coords[a as usize], coords[b as usize]);
                     d(x).total_cmp(&d(y))
                 });
             if let Some(b) = best {
-                graph.add_edge(a, b, EdgeKind::PeerToPeer);
+                pool.link(&mut graph, a, b, EdgeKind::PeerToPeer);
             }
         }
 
         // --- Stub ASes. ---
+        let pooled = pool.node.len();
         for _ in 0..cfg.stubs {
             let provider = self
-                .weighted_provider(&graph, tier1.iter().chain(&transits))
+                .weighted_provider(&pool, pooled)
                 .ok_or(GenError::EmptyProviderPool { tier: AsTier::Stub })?;
-            let (px, py) = coords[graph.index_of(provider).unwrap() as usize];
+            let (px, py) = coords[provider as usize];
             let xy = (
                 clamp((px + self.rng.gen_range(-w / 10.0..w / 10.0)).abs(), w),
                 clamp((py + self.rng.gen_range(-w / 10.0..w / 10.0)).abs(), w),
             );
-            let asn = alloc(&mut graph, &mut tiers, &mut coords, AsTier::Stub, xy);
-            graph.add_edge(provider, asn, EdgeKind::ProviderToCustomer);
+            let node = alloc(&mut graph, &mut tiers, &mut coords, AsTier::Stub, xy);
+            pool.link(&mut graph, provider, node, EdgeKind::ProviderToCustomer);
             if self.rng.gen_bool(MULTIHOME_PROB) {
                 // Second (occasionally third) provider — possibly far away,
-                // which is what creates useful relay shortcuts.
+                // which is what creates useful relay shortcuts. A repeated
+                // draw changes nothing.
                 let extra = if self.rng.gen_bool(0.2) { 2 } else { 1 };
                 for _ in 0..extra {
-                    let Some(p) = self.weighted_provider(&graph, tier1.iter().chain(&transits))
-                    else {
-                        break;
-                    };
-                    if p != asn {
-                        graph.add_edge(p, asn, EdgeKind::ProviderToCustomer);
-                    }
+                    let p = self
+                        .weighted_provider(&pool, pooled)
+                        .expect("the first provider came from this pool");
+                    pool.link(&mut graph, p, node, EdgeKind::ProviderToCustomer);
                 }
             }
             if self.rng.gen_bool(SIBLING_PROB) {
@@ -359,8 +347,8 @@ impl InternetGenerator {
                     clamp((xy.1 + self.rng.gen_range(-1.0..1.0)).abs(), w),
                 );
                 let sib = alloc(&mut graph, &mut tiers, &mut coords, AsTier::Stub, xy2);
-                graph.add_edge(asn, sib, EdgeKind::SiblingToSibling);
-                graph.add_edge(provider, sib, EdgeKind::ProviderToCustomer);
+                pool.link(&mut graph, node, sib, EdgeKind::SiblingToSibling);
+                pool.link(&mut graph, provider, sib, EdgeKind::ProviderToCustomer);
             }
         }
 
@@ -371,29 +359,125 @@ impl InternetGenerator {
         })
     }
 
-    /// Picks a provider among `candidates` with probability proportional to
-    /// degree + 1 (preferential attachment). `None` when the pool is
-    /// empty; no RNG draw happens in that case, so fallback pools keep
-    /// the draw sequence of configs that never hit the empty branch.
-    fn weighted_provider<'a>(
-        &mut self,
-        graph: &AsGraph,
-        candidates: impl Iterator<Item = &'a Asn>,
-    ) -> Option<Asn> {
-        let pool: Vec<Asn> = candidates.copied().collect();
-        if pool.is_empty() {
+    /// Picks a provider among the first `m` members of `pool` with
+    /// probability proportional to degree + 1 (preferential attachment):
+    /// one draw in `0..` the pool's total weight, mapped to the member
+    /// whose weight interval holds it, exactly as a walk over the members
+    /// in pool order would map it. `None` when `m` is 0; no RNG draw
+    /// happens in that case.
+    fn weighted_provider(&mut self, pool: &ProviderPool, m: usize) -> Option<NodeIdx> {
+        if m == 0 {
             return None;
         }
-        let total: usize = pool.iter().map(|&a| graph.degree(a) + 1).sum();
-        let mut pick = self.rng.gen_range(0..total);
-        for &a in &pool {
-            let wgt = graph.degree(a) + 1;
-            if pick < wgt {
-                return Some(a);
-            }
-            pick -= wgt;
+        let draw = self.rng.gen_range(0..pool.weights.prefix(m));
+        Some(pool.node[pool.weights.find(draw)])
+    }
+}
+
+/// The ASes a new customer can buy transit from, with their
+/// preferential-attachment weights.
+///
+/// Members take slots in the order they join: the tier-1s, then the
+/// transits in generation order, so the tier-1 pool is a prefix of the
+/// combined one. A slot's weight is its AS's degree + 1; [`ProviderPool::link`]
+/// keeps it current as adjacencies are added.
+#[derive(Debug)]
+struct ProviderPool {
+    /// Slot weights.
+    weights: Fenwick,
+    /// Per slot: its node index.
+    node: Vec<NodeIdx>,
+    /// Per node index, up to the last member's: its slot, or `None`.
+    slot: Vec<Option<u32>>,
+}
+
+impl ProviderPool {
+    /// An empty pool with room for `capacity` members.
+    fn new(capacity: usize) -> Self {
+        ProviderPool {
+            weights: Fenwick::new(capacity),
+            node: Vec::with_capacity(capacity),
+            slot: Vec::with_capacity(capacity),
         }
-        pool.last().copied()
+    }
+
+    /// Adds `node`, still without neighbors (weight 1), as the next slot.
+    fn join(&mut self, node: NodeIdx) {
+        let s = self.node.len();
+        self.node.push(node);
+        if self.slot.len() <= node as usize {
+            self.slot.resize(node as usize + 1, None);
+        }
+        self.slot[node as usize] = Some(s as u32);
+        self.weights.add(s, 1);
+    }
+
+    /// Adds the adjacency `a — b` to `graph` and, if it is new, adds one
+    /// to the weight of each endpoint that is a member.
+    fn link(&mut self, graph: &mut AsGraph, a: NodeIdx, b: NodeIdx, kind: EdgeKind) {
+        if graph.link(a, b, kind) {
+            for n in [a, b] {
+                if let Some(&Some(s)) = self.slot.get(n as usize) {
+                    self.weights.add(s as usize, 1);
+                }
+            }
+        }
+    }
+}
+
+/// A Fenwick (binary indexed) tree over non-negative slot weights: adds
+/// to one slot, prefix sums and the inverse search each cost O(log n).
+#[derive(Debug)]
+struct Fenwick {
+    /// 1-based: `tree[i]` sums the slots `i - lowbit(i)..i` (0-based);
+    /// `tree[0]` is unused.
+    tree: Vec<usize>,
+}
+
+impl Fenwick {
+    /// `len` slots of weight 0.
+    fn new(len: usize) -> Self {
+        Fenwick {
+            tree: vec![0; len + 1],
+        }
+    }
+
+    /// Adds `w` to slot `s`.
+    fn add(&mut self, s: usize, w: usize) {
+        let mut i = s + 1;
+        while i < self.tree.len() {
+            self.tree[i] += w;
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// The total weight of slots `0..m`.
+    fn prefix(&self, m: usize) -> usize {
+        let (mut i, mut sum) = (m, 0);
+        while i > 0 {
+            sum += self.tree[i];
+            i &= i - 1;
+        }
+        sum
+    }
+
+    /// The first slot `s` whose inclusive prefix sum exceeds `draw`: the
+    /// slot a walk subtracting each weight from `draw` stops at. `draw`
+    /// must be below the total weight.
+    fn find(&self, mut draw: usize) -> usize {
+        let n = self.tree.len() - 1;
+        // `pos` slots lie wholly at or below `draw`.
+        let mut pos = 0;
+        let mut step = if n == 0 { 0 } else { 1 << n.ilog2() };
+        while step > 0 {
+            let next = pos + step;
+            if next <= n && self.tree[next] <= draw {
+                pos = next;
+                draw -= self.tree[next];
+            }
+            step >>= 1;
+        }
+        pos
     }
 }
 
@@ -409,6 +493,56 @@ fn dist(a: (f64, f64), b: (f64, f64)) -> f64 {
 mod tests {
     use super::*;
     use crate::valley;
+    use asap_rng::check::{check, vec};
+
+    /// The plain walk the Fenwick search replaces: the first slot of
+    /// `weights` at which `draw`, less every earlier weight, falls below
+    /// the slot's own weight.
+    fn walk(weights: &[usize], mut draw: usize) -> Option<usize> {
+        for (s, &w) in weights.iter().enumerate() {
+            if draw < w {
+                return Some(s);
+            }
+            draw -= w;
+        }
+        None
+    }
+
+    /// Random weights (zeros included, as for slots not yet joined), +1
+    /// bumps between rounds of picks, every prefix length and every draw
+    /// below each prefix's total. Catches, each on its own: `<` for `<=`
+    /// in `find`'s descent, `find` returning one slot off, `prefix`
+    /// summing one slot too many, and `add` climbing one slot at a time
+    /// instead of by the low bit.
+    #[test]
+    fn fenwick_pick_matches_the_prefix_walk() {
+        check(64, |rng| {
+            let mut weights = vec(rng, 0..24, |rng| rng.gen_range(0..4usize));
+            let n = weights.len();
+            let mut tree = Fenwick::new(n);
+            for (s, &w) in weights.iter().enumerate() {
+                tree.add(s, w);
+            }
+            for _ in 0..8 {
+                for m in 0..=n {
+                    let total: usize = weights[..m].iter().sum();
+                    assert_eq!(tree.prefix(m), total, "prefix {m} of {weights:?}");
+                    for draw in 0..total {
+                        assert_eq!(
+                            Some(tree.find(draw)),
+                            walk(&weights[..m], draw),
+                            "draw {draw} below prefix {m} of {weights:?}"
+                        );
+                    }
+                }
+                if n > 0 {
+                    let s = rng.gen_range(0..n);
+                    weights[s] += 1;
+                    tree.add(s, 1);
+                }
+            }
+        });
+    }
 
     fn internet() -> SyntheticInternet {
         InternetGenerator::new(InternetConfig::tiny(), 7).generate()

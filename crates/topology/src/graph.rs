@@ -305,25 +305,44 @@ impl AsGraph {
     /// `a`); the reverse direction is annotated [`EdgeKind::reverse`].
     /// Creates missing nodes. Replaces the annotation if the adjacency
     /// already exists. Self-loops are ignored.
+    ///
+    /// A new adjacency is pushed at the end of both lists, so adjacency
+    /// order (and with it [`AsGraph::edges`] and every routing tree) is
+    /// insertion order. Whether the adjacency exists is decided on the
+    /// shorter of the two lists: a stub attaching to a hub scans its own
+    /// few entries, not the hub's thousands.
     pub fn add_edge(&mut self, a: Asn, b: Asn, kind: EdgeKind) {
         if a == b {
             return;
         }
         let ia = self.add_node(a);
         let ib = self.add_node(b);
-        self.split.take();
-        let fwd = &mut self.adj[ia as usize];
-        if let Some(slot) = fwd.iter_mut().find(|(n, _)| *n == ib) {
-            slot.1 = kind;
-            let back = &mut self.adj[ib as usize];
-            if let Some(slot) = back.iter_mut().find(|(n, _)| *n == ia) {
-                slot.1 = kind.reverse();
+        self.link(ia, ib, kind);
+    }
+
+    /// [`AsGraph::add_edge`] by dense index, for distinct nodes. Returns
+    /// whether the adjacency is new (`false` for a re-annotation).
+    pub(crate) fn link(&mut self, ia: NodeIdx, ib: NodeIdx, kind: EdgeKind) -> bool {
+        debug_assert_ne!(ia, ib, "self-loop");
+        match self.edge_kind_idx(ia, ib) {
+            // The mirror is already `kind.reverse()`.
+            Some(old) if old == kind => false,
+            Some(_) => {
+                self.split.take();
+                for (from, to, k) in [(ia, ib, kind), (ib, ia, kind.reverse())] {
+                    let slot = self.adj[from as usize].iter_mut().find(|(n, _)| *n == to);
+                    slot.expect("adjacency lists are mirrored").1 = k;
+                }
+                false
             }
-            return;
+            None => {
+                self.split.take();
+                self.adj[ia as usize].push((ib, kind));
+                self.adj[ib as usize].push((ia, kind.reverse()));
+                self.edge_count += 1;
+                true
+            }
         }
-        fwd.push((ib, kind));
-        self.adj[ib as usize].push((ia, kind.reverse()));
-        self.edge_count += 1;
     }
 
     /// Number of AS nodes.
@@ -393,13 +412,23 @@ impl AsGraph {
             .get_or_init(|| Arc::new(CoreSplit::new(&self.asns, &self.adj)))
     }
 
-    /// The annotation of edge `a → b`, if the adjacency exists.
+    /// The annotation of edge `a → b`, if the adjacency exists. Scans the
+    /// shorter of the two adjacency lists.
     pub fn edge_kind(&self, a: Asn, b: Asn) -> Option<EdgeKind> {
-        let ib = self.index_of(b)?;
-        self.neighbors(a)
-            .iter()
-            .find(|(n, _)| *n == ib)
-            .map(|(_, k)| *k)
+        self.edge_kind_idx(self.index_of(a)?, self.index_of(b)?)
+    }
+
+    /// [`AsGraph::edge_kind`] by dense index: the lists are mirrored, so
+    /// the shorter one answers, reversed if it is `b`'s.
+    pub(crate) fn edge_kind_idx(&self, ia: NodeIdx, ib: NodeIdx) -> Option<EdgeKind> {
+        let (fwd, back) = (&self.adj[ia as usize], &self.adj[ib as usize]);
+        if fwd.len() <= back.len() {
+            fwd.iter().find(|(n, _)| *n == ib).map(|&(_, k)| k)
+        } else {
+            back.iter()
+                .find(|(n, _)| *n == ia)
+                .map(|&(_, k)| k.reverse())
+        }
     }
 
     /// The connection degree of `asn` (0 if absent). Used both by the DEDI

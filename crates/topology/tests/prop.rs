@@ -26,6 +26,117 @@ fn arb_graph(rng: &mut StdRng) -> AsGraph {
     g
 }
 
+/// The plain adjacency model `AsGraph` must agree with: nodes in
+/// insertion order, each with its neighbors in insertion order, a
+/// re-added adjacency re-annotated in place on both sides.
+#[derive(Default)]
+struct ModelGraph {
+    adj: Vec<(Asn, Vec<(Asn, EdgeKind)>)>,
+}
+
+impl ModelGraph {
+    fn node(&mut self, asn: Asn) -> usize {
+        match self.adj.iter().position(|(a, _)| *a == asn) {
+            Some(i) => i,
+            None => {
+                self.adj.push((asn, Vec::new()));
+                self.adj.len() - 1
+            }
+        }
+    }
+
+    fn add_edge(&mut self, a: Asn, b: Asn, kind: EdgeKind) {
+        if a == b {
+            return;
+        }
+        let (ia, ib) = (self.node(a), self.node(b));
+        match self.adj[ia].1.iter().position(|(n, _)| *n == b) {
+            Some(i) => {
+                self.adj[ia].1[i].1 = kind;
+                let j = self.adj[ib].1.iter().position(|(n, _)| *n == a).unwrap();
+                self.adj[ib].1[j].1 = kind.reverse();
+            }
+            None => {
+                self.adj[ia].1.push((b, kind));
+                self.adj[ib].1.push((a, kind.reverse()));
+            }
+        }
+    }
+
+    fn edge_kind(&self, a: Asn, b: Asn) -> Option<EdgeKind> {
+        let (_, nbrs) = self.adj.iter().find(|(n, _)| *n == a)?;
+        nbrs.iter().find(|(n, _)| *n == b).map(|&(_, k)| k)
+    }
+}
+
+/// Edge insertions that build hubs (ASes 0–2 take most adjacencies, so
+/// their lists outgrow their neighbors'), each added hub-first or
+/// leaf-first, with a third of them repeating an earlier pair in either
+/// direction, re-annotated or not.
+fn arb_hub_insertions(rng: &mut StdRng) -> Vec<(Asn, Asn, EdgeKind)> {
+    let mut ops: Vec<(Asn, Asn, EdgeKind)> = Vec::new();
+    for _ in 0..rng.gen_range(1..120) {
+        let op = if !ops.is_empty() && rng.gen_bool(1.0 / 3.0) {
+            let (a, b, kind) = ops[rng.gen_range(0..ops.len())];
+            let kind = if rng.gen_bool(0.5) {
+                kind
+            } else {
+                arb_kind(rng)
+            };
+            (a, b, kind)
+        } else {
+            let hub = Asn(rng.gen_range(0..3));
+            let other = Asn(rng.gen_range(0..32));
+            (hub, other, arb_kind(rng))
+        };
+        let (a, b, kind) = op;
+        ops.push(if rng.gen_bool(0.5) {
+            (a, b, kind)
+        } else {
+            (b, a, kind.reverse())
+        });
+    }
+    ops
+}
+
+/// `add_edge` and `edge_kind` against the plain model. After every
+/// insertion: node order, exact adjacency order (which `edges()` and the
+/// routing trees iterate) with its annotations, degrees, the edge count
+/// and the inserted pair's annotation both ways. At the end: every pair,
+/// absent pairs and ASes included.
+#[test]
+fn add_edge_and_edge_kind_match_the_adjacency_model() {
+    check(256, |rng| {
+        let mut g = AsGraph::new();
+        let mut model = ModelGraph::default();
+        for (a, b, kind) in arb_hub_insertions(rng) {
+            g.add_edge(a, b, kind);
+            model.add_edge(a, b, kind);
+            let asns: Vec<Asn> = model.adj.iter().map(|(a, _)| *a).collect();
+            assert_eq!(g.asns(), asns.as_slice());
+            let links: usize = model.adj.iter().map(|(_, n)| n.len()).sum();
+            assert_eq!(g.edge_count() * 2, links);
+            for (asn, nbrs) in &model.adj {
+                let got: Vec<(Asn, EdgeKind)> = g
+                    .neighbors(*asn)
+                    .iter()
+                    .map(|&(n, k)| (g.asn_at(n), k))
+                    .collect();
+                assert_eq!(&got, nbrs, "adjacency of {asn}");
+                assert_eq!(g.degree(*asn), nbrs.len());
+            }
+            for (x, y) in [(a, b), (b, a)] {
+                assert_eq!(g.edge_kind(x, y), model.edge_kind(x, y), "{x} -> {y}");
+            }
+        }
+        for x in (0..34).map(Asn) {
+            for y in (0..34).map(Asn) {
+                assert_eq!(g.edge_kind(x, y), model.edge_kind(x, y), "{x} -> {y}");
+            }
+        }
+    });
+}
+
 #[test]
 fn edge_annotations_are_mirrored() {
     check(256, |rng| {
