@@ -74,8 +74,8 @@ impl RelaySelector for Dedi {
             .record(MessageKind::ProbeRequest, self.nodes.len() as u64);
         let mut out = SelectionOutcome::default();
         for &r in &self.nodes {
-            if let Some(path) = eval_one_hop(scenario, session, r) {
-                out.consider(path, requirement);
+            if let Some(metrics) = eval_one_hop(scenario, session, r) {
+                out.consider(&[r], metrics, requirement);
             }
         }
         out

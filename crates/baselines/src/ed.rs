@@ -88,8 +88,8 @@ impl RelaySelector for EarliestDivergence {
     ) -> SelectionOutcome {
         let mut out = SelectionOutcome::default();
         // The first candidate with the earliest divergence, RTT breaking
-        // ties.
-        let mut best: Option<(usize, RelayPath)> = None;
+        // ties: `(shared, rtt, loss, relay)`, made a path at the end.
+        let mut best: Option<(usize, f64, f64, HostId)> = None;
         let candidates = self.sampler.candidates(scenario, session);
         // One message per probed candidate, as in the seed accounting.
         self.scope
@@ -100,11 +100,11 @@ impl RelaySelector for EarliestDivergence {
         // and shared by all of them.
         let mut direct = None;
         for r in candidates {
-            let Some(path) = eval_one_hop(scenario, session, r) else {
+            let Some((rtt_ms, loss)) = eval_one_hop(scenario, session, r) else {
                 continue;
             };
             out.probed_nodes += 1;
-            if requirement.rtt_ok(path.rtt_ms) {
+            if requirement.rtt_ok(rtt_ms) {
                 out.quality_paths += 1;
             }
             let direct = direct.get_or_insert_with(|| {
@@ -118,12 +118,16 @@ impl RelaySelector for EarliestDivergence {
             });
             let better = best
                 .as_ref()
-                .is_none_or(|(s, b)| shared.cmp(s).then(path.rtt_ms.total_cmp(&b.rtt_ms)).is_lt());
+                .is_none_or(|(s, b, ..)| shared.cmp(s).then(rtt_ms.total_cmp(b)).is_lt());
             if better {
-                best = Some((shared, path));
+                best = Some((shared, rtt_ms, loss, r));
             }
         }
-        out.best = best.map(|(_, p)| p);
+        out.best = best.map(|(_, rtt_ms, loss, r)| RelayPath {
+            relays: vec![r],
+            rtt_ms,
+            loss,
+        });
         out
     }
 

@@ -70,8 +70,8 @@ impl RelaySelector for RandSel {
             .record(MessageKind::ProbeRequest, self.count as u64);
         let mut out = SelectionOutcome::default();
         for r in self.candidates(scenario, session) {
-            if let Some(path) = eval_one_hop(scenario, session, r) {
-                out.consider(path, requirement);
+            if let Some(metrics) = eval_one_hop(scenario, session, r) {
+                out.consider(&[r], metrics, requirement);
             }
         }
         out

@@ -92,14 +92,7 @@ pub(crate) fn opt_select(
         let b_full = b_leg + access + 2.0 * callee.access_ms;
         let rtt = a_full + b_full + RELAY_DELAY_RTT_MS;
         let loss = 1.0 - (1.0 - la) * (1.0 - lb);
-        out.consider(
-            RelayPath {
-                relays: vec![host.id],
-                rtt_ms: rtt,
-                loss,
-            },
-            requirement,
-        );
+        out.consider(&[host.id], (rtt, loss), requirement);
         if candidates > 0 {
             push_best(&mut best_from_a, (a_full, (host.id, la)), candidates);
             push_best(&mut best_to_b, (b_full, (host.id, lb)), candidates);
@@ -154,15 +147,20 @@ pub(crate) fn ed_select(
     let mut out = SelectionOutcome::default();
     let mut ranked = Vec::new();
     for r in RandSel::new(count, seed).candidates(scenario, session) {
-        let Some(path) = eval_one_hop(scenario, session, r) else {
+        let Some((rtt_ms, loss)) = eval_one_hop(scenario, session, r) else {
             continue;
         };
         out.probed_nodes += 1;
-        if requirement.rtt_ok(path.rtt_ms) {
+        if requirement.rtt_ok(rtt_ms) {
             out.quality_paths += 1;
         }
         let shared = EarliestDivergence::shared_prefix_len(scenario, session, r);
-        ranked.push((shared, path.rtt_ms, path));
+        let path = RelayPath {
+            relays: vec![r],
+            rtt_ms,
+            loss,
+        };
+        ranked.push((shared, rtt_ms, path));
     }
     ranked.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
     out.best = ranked.into_iter().next().map(|(_, _, p)| p);

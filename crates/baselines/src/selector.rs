@@ -36,47 +36,49 @@ pub struct SelectionOutcome {
 }
 
 impl SelectionOutcome {
-    /// Records a candidate path: counts it if it meets the requirement and
-    /// keeps it if it is the best so far.
-    pub fn consider(&mut self, path: RelayPath, requirement: &QualityRequirement) {
-        self.consider_weighted(path, 1, requirement);
+    /// Records a candidate path through `relays` with end-to-end
+    /// `(rtt_ms, loss)`: counts it if it meets the requirement and keeps
+    /// it if it is the best so far. A path is built only for a candidate
+    /// that becomes the best.
+    pub fn consider(
+        &mut self,
+        relays: &[HostId],
+        metrics: (f64, f64),
+        requirement: &QualityRequirement,
+    ) {
+        self.consider_weighted(relays, metrics, 1, requirement);
     }
 
     /// Like [`consider`](Self::consider) but with an explicit quality-path
     /// weight (ASAP counts every member host of a qualifying cluster).
     pub fn consider_weighted(
         &mut self,
-        path: RelayPath,
+        relays: &[HostId],
+        (rtt_ms, loss): (f64, f64),
         weight: u64,
         requirement: &QualityRequirement,
     ) {
         self.probed_nodes += 1;
-        if requirement.rtt_ok(path.rtt_ms) {
+        if requirement.rtt_ok(rtt_ms) {
             self.quality_paths += weight;
         }
-        let better = match &self.best {
-            Some(b) => path.rtt_ms < b.rtt_ms,
-            None => true,
-        };
-        if better {
-            self.best = Some(path);
+        if self.best.as_ref().is_none_or(|b| rtt_ms < b.rtt_ms) {
+            self.best = Some(RelayPath {
+                relays: relays.to_vec(),
+                rtt_ms,
+                loss,
+            });
         }
     }
 }
 
-/// Evaluates host `r` as a one-hop relay for `session`, returning the
-/// resulting path, or `None` when `r` is an endpoint or a leg is
-/// unroutable.
-pub fn eval_one_hop(scenario: &Scenario, session: Session, r: HostId) -> Option<RelayPath> {
+/// The end-to-end `(rtt_ms, loss)` of host `r` as a one-hop relay for
+/// `session`, or `None` when `r` is an endpoint or a leg is unroutable.
+pub fn eval_one_hop(scenario: &Scenario, session: Session, r: HostId) -> Option<(f64, f64)> {
     if r == session.caller || r == session.callee {
         return None;
     }
-    let (rtt_ms, loss) = scenario.one_hop_metrics(session.caller, r, session.callee)?;
-    Some(RelayPath {
-        relays: vec![r],
-        rtt_ms,
-        loss,
-    })
+    scenario.one_hop_metrics(session.caller, r, session.callee)
 }
 
 /// A relay node selection method, as compared in §7 of the paper.
@@ -118,21 +120,17 @@ pub fn select_metered<S: RelaySelector + ?Sized>(
 mod tests {
     use super::*;
 
-    fn path(rtt: f64) -> RelayPath {
-        RelayPath {
-            relays: vec![HostId(1)],
-            rtt_ms: rtt,
-            loss: 0.005,
-        }
+    fn metrics(rtt: f64) -> (f64, f64) {
+        (rtt, 0.005)
     }
 
     #[test]
     fn consider_counts_and_keeps_best() {
         let req = QualityRequirement::default();
         let mut out = SelectionOutcome::default();
-        out.consider(path(400.0), &req);
-        out.consider(path(120.0), &req);
-        out.consider(path(250.0), &req);
+        out.consider(&[HostId(1)], metrics(400.0), &req);
+        out.consider(&[HostId(1)], metrics(120.0), &req);
+        out.consider(&[HostId(1)], metrics(250.0), &req);
         assert_eq!(out.probed_nodes, 3);
         assert_eq!(out.quality_paths, 2); // 120 and 250 qualify
         assert_eq!(out.best.as_ref().unwrap().rtt_ms, 120.0);
@@ -142,8 +140,8 @@ mod tests {
     fn weighted_counting() {
         let req = QualityRequirement::default();
         let mut out = SelectionOutcome::default();
-        out.consider_weighted(path(100.0), 57, &req);
-        out.consider_weighted(path(500.0), 99, &req);
+        out.consider_weighted(&[HostId(1)], metrics(100.0), 57, &req);
+        out.consider_weighted(&[HostId(1)], metrics(500.0), 99, &req);
         assert_eq!(out.quality_paths, 57);
     }
 
@@ -151,7 +149,7 @@ mod tests {
     fn best_is_kept_even_if_not_quality() {
         let req = QualityRequirement::default();
         let mut out = SelectionOutcome::default();
-        out.consider(path(500.0), &req);
+        out.consider(&[HostId(1)], metrics(500.0), &req);
         assert_eq!(out.quality_paths, 0);
         assert!(out.best.is_some());
     }

@@ -1,6 +1,7 @@
 //! Grouping peer IPs into prefix-level or AS-level clusters.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use crate::asn::Asn;
 use crate::ip::{Ip, Prefix};
@@ -68,8 +69,8 @@ impl Cluster {
         self.members.len()
     }
 
-    /// Whether the cluster has no members (never true for clusters produced
-    /// by [`Clustering::from_ips`]).
+    /// Whether the cluster has no members (never true for clusters of a
+    /// [`Clustering`]).
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
     }
@@ -97,16 +98,23 @@ impl Cluster {
 
 /// The result of grouping a peer population into clusters.
 ///
-/// Built by [`Clustering::from_ips`]: every input IP that matches some
+/// Built one of two ways. [`Clustering::from_ips`] is the paper's
+/// longest-prefix match (§5, Fig. 1): every input IP that matches some
 /// prefix in the [`PrefixTable`] is assigned to exactly one cluster;
 /// unmatched IPs are reported via [`unmatched`](Clustering::unmatched)
 /// (the paper likewise only kept the 103,625 of 269,413 crawled IPs that
-/// matched a BGP prefix).
+/// matched a BGP prefix). [`Clustering::from_clusters`] takes clusters
+/// already drawn, as a synthetic population places its peers.
+///
+/// Stored: the clusters (members in order, delegate) and the peer count.
+/// The IP → cluster map behind [`Clustering::cluster_of`] is derived
+/// from the clusters on first use (`from_ips` builds it as it matches).
 #[derive(Debug, Clone)]
 pub struct Clustering {
     level: ClusterLevel,
     clusters: Vec<Cluster>,
-    by_ip: HashMap<Ip, ClusterId>,
+    peers: usize,
+    by_ip: OnceLock<HashMap<Ip, ClusterId>>,
     unmatched: Vec<Ip>,
 }
 
@@ -153,8 +161,45 @@ impl Clustering {
         Clustering {
             level,
             clusters,
-            by_ip,
+            peers: by_ip.len(),
+            by_ip: OnceLock::from(by_ip),
             unmatched,
+        }
+    }
+
+    /// Takes prefix-level clusters as given: the `k`-th `(prefix, origin
+    /// AS, members)` becomes cluster `ClusterId(k)`, with its members in
+    /// the order given and the first of them as delegate. No IP is
+    /// unmatched. Members must be distinct across clusters; no map is
+    /// built until [`Clustering::cluster_of`] is first asked.
+    ///
+    /// This is what [`Clustering::from_ips`] assigns at
+    /// [`ClusterLevel::Prefix`] to IPs listed cluster by cluster, when the
+    /// prefixes are disjoint and each cluster's members fall in its
+    /// prefix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cluster has no members.
+    pub fn from_clusters(clusters: impl IntoIterator<Item = (Prefix, Asn, Vec<Ip>)>) -> Self {
+        let clusters: Vec<Cluster> = (clusters.into_iter().enumerate())
+            .map(|(k, (prefix, asn, members))| {
+                assert!(!members.is_empty(), "cluster {k} has no members");
+                Cluster {
+                    id: ClusterId(k as u32),
+                    prefix,
+                    asn,
+                    members,
+                    delegate: 0,
+                }
+            })
+            .collect();
+        Clustering {
+            level: ClusterLevel::Prefix,
+            peers: clusters.iter().map(Cluster::len).sum(),
+            clusters,
+            by_ip: OnceLock::new(),
+            unmatched: Vec::new(),
         }
     }
 
@@ -170,7 +215,7 @@ impl Clustering {
 
     /// Total number of clustered (matched) peers.
     pub fn peer_count(&self) -> usize {
-        self.by_ip.len()
+        self.peers
     }
 
     /// All clusters, indexable by `ClusterId.0`.
@@ -187,9 +232,16 @@ impl Clustering {
         &self.clusters[id.0 as usize]
     }
 
-    /// The cluster a peer IP belongs to, if it was matched.
+    /// The cluster a peer IP belongs to, if it was matched. The first
+    /// call on a clustering built by [`Clustering::from_clusters`] derives
+    /// the IP → cluster map.
     pub fn cluster_of(&self, ip: Ip) -> Option<ClusterId> {
-        self.by_ip.get(&ip).copied()
+        let by_ip = self.by_ip.get_or_init(|| {
+            (self.clusters.iter())
+                .flat_map(|c| c.members.iter().map(move |&ip| (ip, c.id)))
+                .collect()
+        });
+        by_ip.get(&ip).copied()
     }
 
     /// Input IPs that matched no prefix and were therefore dropped.
@@ -274,6 +326,41 @@ mod tests {
         assert_eq!(c.cluster(id).delegate(), ip("10.1.0.1"));
         c.clusters[id.0 as usize].set_delegate_index(1);
         assert_eq!(c.cluster(id).delegate(), ip("10.1.0.2"));
+    }
+
+    #[test]
+    fn given_clusters_match_lpm_of_ips_listed_cluster_by_cluster() {
+        let ips = vec![
+            ip("10.2.0.7"),
+            ip("10.2.0.1"),
+            ip("10.1.0.3"),
+            ip("20.0.0.1"),
+            ip("20.0.0.2"),
+        ];
+        let lpm = Clustering::from_ips(&ips, &table(), ClusterLevel::Prefix);
+        let given = Clustering::from_clusters(
+            (lpm.clusters().iter()).map(|c| (c.prefix(), c.asn(), c.members().to_vec())),
+        );
+        assert_eq!(given.level(), ClusterLevel::Prefix);
+        assert_eq!(given.peer_count(), lpm.peer_count());
+        assert!(given.unmatched().is_empty());
+        for (g, l) in given.clusters().iter().zip(lpm.clusters()) {
+            assert_eq!(
+                (g.id(), g.prefix(), g.asn(), g.members(), g.delegate()),
+                (l.id(), l.prefix(), l.asn(), l.members(), l.delegate())
+            );
+        }
+        for &ip in &ips {
+            assert_eq!(given.cluster_of(ip), lpm.cluster_of(ip));
+        }
+        assert_eq!(given.cluster_of(Ip(0)), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "cluster 0 has no members")]
+    fn given_clusters_must_not_be_empty() {
+        let p: Prefix = "10.1.0.0/16".parse().unwrap();
+        Clustering::from_clusters([(p, Asn(1), Vec::new())]);
     }
 
     #[test]

@@ -736,7 +736,7 @@ impl<'a> AsapSystem<'a> {
             pool = pick_pool(&|_| true);
         }
         if pool.is_empty() {
-            pool = members.clone();
+            pool = members.to_vec();
         }
         pool.sort_by(|&a, &b| surrogate_order(population, a, b));
         let actives_n = self.surrogate_count(members.len());
@@ -1640,7 +1640,7 @@ mod tests {
         let system = AsapSystem::bootstrap(&s, AsapConfig::default());
         for c in s.population.clustering().clusters() {
             let surrogate = system.surrogate_of(c.id());
-            for m in s.population.cluster_members(c.id()) {
+            for &m in s.population.cluster_members(c.id()) {
                 assert!(
                     surrogate_order(&s.population, surrogate, m).is_le(),
                     "surrogate of {:?} is not the best-scoring member",

@@ -1,6 +1,6 @@
 //! Synthetic peer populations.
 
-use asap_cluster::{Asn, ClusterLevel, Clustering, Ip, Prefix, PrefixTable};
+use asap_cluster::{Asn, ClusterId, Clustering, Ip, Prefix, PrefixTable};
 use asap_rng::{SliceRandom, StdRng};
 use asap_topology::SyntheticInternet;
 use std::ops::RangeInclusive;
@@ -105,12 +105,31 @@ impl PopulationConfig {
 /// Invariants: every host's IP falls in exactly one announced prefix; the
 /// prefix's origin AS is the host's AS; cluster sizes are heavy-tailed
 /// (90% ≤ 100 hosts).
+///
+/// The population is clustered as it is drawn: cluster `k` is the `k`-th
+/// announced /22, its members are its hosts, contiguous in id order, and
+/// its delegate is the first of them. That is exactly what longest-prefix
+/// matching the hosts' IPs against [`Population::prefix_table`] assigns
+/// (the /22s are disjoint and each holds at least one host), so no IP is
+/// matched or hashed to build it.
+///
+/// Stored: the hosts, each host's cluster (by host id), each cluster's
+/// run of host ids, the announcements and the [`Clustering`]. Derived on
+/// first use: the prefix table and the AS groups. [`Population::host_by_ip`]
+/// searches the ascending /22 bases, then the cluster's ascending IPs.
 #[derive(Debug, Clone)]
 pub struct Population {
     hosts: Vec<Host>,
-    by_ip: std::collections::HashMap<Ip, HostId>,
+    /// Each host's cluster, by host id.
+    cluster_of: Vec<ClusterId>,
+    /// Every host id, cluster by cluster (so in id order), so that
+    /// [`Population::cluster_members`] lends a slice.
+    members: Vec<HostId>,
+    /// Where each cluster's run in `members` starts, then the end.
+    cluster_starts: Vec<u32>,
     announcements: Vec<(Prefix, Asn)>,
-    prefix_table: PrefixTable,
+    /// Derived from `announcements` on first use.
+    prefix_table: OnceLock<PrefixTable>,
     clustering: Clustering,
     /// Derived from `hosts` on first use.
     as_groups: OnceLock<AsGroups>,
@@ -161,7 +180,10 @@ impl Population {
         stubs.shuffle(&mut rng);
 
         let mut hosts = Vec::new();
+        let mut cluster_of = Vec::new();
+        let mut cluster_starts = vec![0];
         let mut announcements = Vec::new();
+        let mut clusters = Vec::new();
         let mut prefix_counter = 0u32;
         let mut stub_iter = stubs.iter().cycle();
 
@@ -188,10 +210,13 @@ impl Population {
                 let base = Ip((10 << 24) | (prefix_counter << 10));
                 prefix_counter += 1;
                 let prefix = Prefix::new(base, 22);
+                let cluster = ClusterId(announcements.len() as u32);
                 announcements.push((prefix, asn));
+                let mut ips = Vec::with_capacity(size);
                 for i in 0..size {
                     let id = HostId(hosts.len() as u32);
                     let ip = prefix.nth(1 + i as u64);
+                    ips.push(ip);
                     let access_u: f64 = rng.gen();
                     let nodal = NodalInfo {
                         bandwidth_kbps: *[256u32, 768, 1_500, 3_000, 10_000, 100_000]
@@ -210,21 +235,20 @@ impl Population {
                         nodal,
                     });
                 }
+                cluster_of.resize(hosts.len(), cluster);
+                cluster_starts.push(hosts.len() as u32);
+                clusters.push((prefix, asn, ips));
             }
         }
 
-        let prefix_table: PrefixTable = announcements.iter().copied().collect();
-        let ips: Vec<Ip> = hosts.iter().map(|h| h.ip).collect();
-        let clustering = Clustering::from_ips(&ips, &prefix_table, ClusterLevel::Prefix);
-        debug_assert_eq!(clustering.peer_count(), hosts.len());
-        let by_ip = hosts.iter().map(|h| (h.ip, h.id)).collect();
-
         Population {
+            members: hosts.iter().map(|h| h.id).collect(),
             hosts,
-            by_ip,
+            cluster_of,
+            cluster_starts,
             announcements,
-            prefix_table,
-            clustering,
+            prefix_table: OnceLock::new(),
+            clustering: Clustering::from_clusters(clusters),
             as_groups: OnceLock::new(),
         }
     }
@@ -254,14 +278,18 @@ impl Population {
             hosts,
             access_ms,
         } = self.as_groups.get_or_init(|| {
-            let mut slot: std::collections::HashMap<Asn, usize> = std::collections::HashMap::new();
+            // Each AS's group, by AS graph node index.
+            let nodes = self.hosts.iter().map(|h| h.as_node as usize + 1).max();
+            let mut slot = vec![usize::MAX; nodes.unwrap_or(0)];
             let mut ends: Vec<(Asn, u32, usize)> = Vec::new();
             let group: Vec<usize> = (self.hosts.iter())
                 .map(|h| {
-                    *slot.entry(h.asn).or_insert_with(|| {
+                    let g = &mut slot[h.as_node as usize];
+                    if *g == usize::MAX {
+                        *g = ends.len();
                         ends.push((h.asn, h.as_node, 0));
-                        ends.len() - 1
-                    })
+                    }
+                    *g
                 })
                 .collect();
             for &g in &group {
@@ -294,9 +322,16 @@ impl Population {
         })
     }
 
-    /// The host owning `ip`, if any.
+    /// The host owning `ip`, if any: a binary search over the ascending
+    /// /22 bases of the announcements for the cluster, then one over its
+    /// members' ascending IPs.
     pub fn host_by_ip(&self, ip: Ip) -> Option<&Host> {
-        self.by_ip.get(&ip).map(|&id| self.host(id))
+        let k = (self.announcements)
+            .partition_point(|(prefix, _)| prefix.base() <= ip)
+            .checked_sub(1)?;
+        let members = self.cluster_members(ClusterId(k as u32));
+        let i = (members.binary_search_by_key(&ip, |&id| self.host(id).ip)).ok()?;
+        Some(self.host(members[i]))
     }
 
     /// The `(prefix, origin AS)` announcements backing this population
@@ -305,12 +340,13 @@ impl Population {
         &self.announcements
     }
 
-    /// The prefix → origin-AS table.
+    /// The prefix → origin-AS table of the announcements. Derived on
+    /// first use.
     pub fn prefix_table(&self) -> &PrefixTable {
-        &self.prefix_table
+        (self.prefix_table).get_or_init(|| self.announcements.iter().copied().collect())
     }
 
-    /// The prefix-level clustering of the population.
+    /// The prefix-level clustering of the population, as drawn.
     pub fn clustering(&self) -> &Clustering {
         &self.clustering
     }
@@ -320,20 +356,20 @@ impl Population {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn cluster_of(&self, id: HostId) -> asap_cluster::ClusterId {
-        self.clustering
-            .cluster_of(self.host(id).ip)
-            .expect("every host is clustered")
+    pub fn cluster_of(&self, id: HostId) -> ClusterId {
+        self.cluster_of[id.0 as usize]
     }
 
-    /// All member hosts of a cluster.
-    pub fn cluster_members(&self, cluster: asap_cluster::ClusterId) -> Vec<HostId> {
-        self.clustering
-            .cluster(cluster)
-            .members()
-            .iter()
-            .map(|&ip| self.host_by_ip(ip).expect("member is a host").id)
-            .collect()
+    /// All member hosts of a cluster, in id order (the order of the
+    /// cluster's IPs in [`Population::clustering`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cluster` is out of range.
+    pub fn cluster_members(&self, cluster: ClusterId) -> &[HostId] {
+        let k = cluster.0 as usize;
+        let (start, end) = (self.cluster_starts[k], self.cluster_starts[k + 1]);
+        &self.members[start as usize..end as usize]
     }
 }
 
