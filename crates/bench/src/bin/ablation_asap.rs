@@ -15,7 +15,7 @@
 
 use asap_bench::{percentile, row, section, sorted, Args, Scale};
 use asap_core::close_set::{construct_close_cluster_set_with_mode, ClusterIndex, SearchMode};
-use asap_core::{surrogate_order, AsapConfig, AsapSelector, AsapSystem};
+use asap_core::{best_surrogate, AsapConfig, AsapSelector, AsapSystem};
 use asap_voip::QualityRequirement;
 use asap_workload::sessions;
 use asap_workload::HostId;
@@ -190,11 +190,8 @@ fn main() {
             if pick_first {
                 members[0]
             } else {
-                members
-                    .iter()
-                    .copied()
-                    .min_by(|&a, &b| surrogate_order(&scenario.population, a, b))
-                    .unwrap()
+                best_surrogate(&scenario.population, members.iter().copied())
+                    .expect("clusters are never empty")
             }
         };
         let mut sizes = Vec::new();

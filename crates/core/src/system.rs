@@ -387,18 +387,56 @@ impl Meters {
 /// re-election.
 pub const STANDBYS: usize = 2;
 
+/// A surrogate candidate's score, higher is better: nodal capability
+/// discounted by access delay. Surrogates must be powerful *and* well
+/// connected: a capable host behind a slow access link would make the
+/// whole cluster look far in every close cluster set. Elections compute
+/// it once per candidate and rank the `(score, id)` pairs.
+pub fn surrogate_score(population: &Population, h: HostId) -> f64 {
+    let host = population.host(h);
+    host.nodal.capability() - host.access_ms / 100.0
+}
+
 /// The surrogate election order: `Less` when `a` is the better
-/// surrogate candidate. Candidates rank by nodal capability discounted
-/// by access delay, ties to the lower host id. Surrogates must be
-/// powerful *and* well connected: a capable host behind a slow access
-/// link would make the whole cluster look far in every close cluster
-/// set.
+/// surrogate candidate. Candidates rank by [`surrogate_score`] (by
+/// `total_cmp`, descending), ties to the lower host id. Host ids are
+/// unique, so this is a strict total order: no two candidates compare
+/// equal, and a top-k pick followed by a sort of the `k` returns
+/// exactly the head of a full sort.
 pub fn surrogate_order(population: &Population, a: HostId, b: HostId) -> Ordering {
-    let score = |h: HostId| {
-        let host = population.host(h);
-        host.nodal.capability() - host.access_ms / 100.0
-    };
-    score(b).total_cmp(&score(a)).then(a.cmp(&b))
+    by_score(
+        &(surrogate_score(population, a), a),
+        &(surrogate_score(population, b), b),
+    )
+}
+
+/// [`surrogate_order`] on candidates already scored.
+fn by_score(a: &(f64, HostId), b: &(f64, HostId)) -> Ordering {
+    b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
+}
+
+/// The best of the `candidates` under [`surrogate_order`], each scored
+/// once; `None` when there are none.
+pub fn best_surrogate(
+    population: &Population,
+    candidates: impl IntoIterator<Item = HostId>,
+) -> Option<HostId> {
+    candidates
+        .into_iter()
+        .map(|h| (surrogate_score(population, h), h))
+        .min_by(by_score)
+        .map(|(_, h)| h)
+}
+
+/// Leaves the best `keep` entries of `pool` in it, best first: a top-k
+/// selection, then a sort of what it kept. `by_score` is a strict total
+/// order, so this equals the first `keep` entries of a full sort.
+fn keep_best(pool: &mut Vec<(f64, HostId)>, keep: usize) {
+    if keep < pool.len() {
+        pool.select_nth_unstable_by(keep, by_score);
+        pool.truncate(keep);
+    }
+    pool.sort_unstable_by(by_score);
 }
 
 /// SplitMix64 finalizer: the deterministic hash behind MIX-style probing.
@@ -713,40 +751,42 @@ impl<'a> AsapSystem<'a> {
         verdict
     }
 
-    /// Elects a fresh replica set for `cluster`: highest nodal capability
-    /// (discounted by access delay), ties to the lower host id. Prefers
-    /// usable members, then merely-online ones, then anyone; `exclude`
-    /// is kept out unless it would empty every pool. The returned epoch
-    /// is 0; [`ReplicaTable::replace`] continues an existing cluster's.
+    /// Elects a fresh replica set for `cluster`: the best members under
+    /// [`surrogate_order`] (highest [`surrogate_score`], ties to the
+    /// lower host id) as actives, the next [`STANDBYS`] as standbys.
+    /// Prefers usable members, then merely-online ones, then anyone;
+    /// `exclude` is kept out unless it would empty every pool. Each
+    /// candidate is scored once and only the best `actives + STANDBYS`
+    /// are sorted ([`keep_best`]), which is exact because the order is
+    /// strict. The returned epoch is 0; [`ReplicaTable::replace`]
+    /// continues an existing cluster's.
     fn elect_split(&self, cluster: ClusterId, exclude: &[HostId]) -> ReplicaSet {
         let population = &self.scenario.population;
         let members = population.cluster_members(cluster);
-        let pick_pool = |pred: &dyn Fn(HostId) -> bool| -> Vec<HostId> {
+        let pick_pool = |pred: &dyn Fn(HostId) -> bool| -> Vec<(f64, HostId)> {
             members
                 .iter()
                 .copied()
-                .filter(|&h| !exclude.contains(&h) && pred(h))
+                .filter(|&h| pred(h))
+                .map(|h| (surrogate_score(population, h), h))
                 .collect()
         };
-        let mut pool = pick_pool(&|h| self.host_usable(h));
+        let kept = |h: HostId| !exclude.contains(&h);
+        let mut pool = pick_pool(&|h| kept(h) && self.host_usable(h));
         if pool.is_empty() {
-            pool = pick_pool(&|h| self.is_online(h));
+            pool = pick_pool(&|h| kept(h) && self.is_online(h));
+        }
+        if pool.is_empty() {
+            pool = pick_pool(&kept);
         }
         if pool.is_empty() {
             pool = pick_pool(&|_| true);
         }
-        if pool.is_empty() {
-            pool = members.to_vec();
-        }
-        pool.sort_by(|&a, &b| surrogate_order(population, a, b));
         let actives_n = self.surrogate_count(members.len());
-        let active: Vec<HostId> = pool.iter().copied().take(actives_n).collect();
-        let standbys: Vec<HostId> = pool
-            .iter()
-            .copied()
-            .skip(actives_n)
-            .take(STANDBYS)
-            .collect();
+        keep_best(&mut pool, actives_n + STANDBYS);
+        let mut ranked = pool.into_iter().map(|(_, h)| h);
+        let active: Vec<HostId> = ranked.by_ref().take(actives_n).collect();
+        let standbys: Vec<HostId> = ranked.collect();
         ReplicaSet {
             active,
             standbys,
@@ -946,12 +986,14 @@ impl<'a> AsapSystem<'a> {
             if have >= STANDBYS {
                 return;
             }
-            let candidate = population
-                .cluster_members(cluster)
-                .iter()
-                .copied()
-                .filter(|h| !current.contains(h) && self.host_usable(*h))
-                .min_by(|&a, &b| surrogate_order(population, a, b));
+            let candidate = best_surrogate(
+                population,
+                population
+                    .cluster_members(cluster)
+                    .iter()
+                    .copied()
+                    .filter(|h| !current.contains(h) && self.host_usable(*h)),
+            );
             let Some(candidate) = candidate else {
                 return; // nobody left to recruit
             };
@@ -1603,6 +1645,7 @@ impl<'a> AsapSystem<'a> {
 mod tests {
     use super::*;
     use asap_netsim::membership::HEARTBEAT_INTERVAL_MS;
+    use asap_rng::check::check;
     use asap_workload::{sessions, ScenarioConfig};
 
     fn scenario() -> Scenario {
@@ -1667,6 +1710,142 @@ mod tests {
                 assert_eq!(system.relay_verdict(*sb), Verdict::Alive);
             }
         }
+    }
+
+    /// The plain election reference: `elect_split`'s pools in order
+    /// (usable, online, anyone, then all members, `exclude` kept out of
+    /// the first three), fully sorted by [`surrogate_order`], split into
+    /// the actives and the next [`STANDBYS`].
+    fn reference_election(
+        system: &AsapSystem,
+        cluster: ClusterId,
+        exclude: &[HostId],
+    ) -> (Vec<HostId>, Vec<HostId>) {
+        let population = &system.scenario().population;
+        let members = population.cluster_members(cluster);
+        let kept = |h: HostId| !exclude.contains(&h);
+        let pools: [&dyn Fn(HostId) -> bool; 4] = [
+            &|h| kept(h) && system.host_usable(h),
+            &|h| kept(h) && system.is_online(h),
+            &kept,
+            &|_| true,
+        ];
+        let mut pool = pools
+            .iter()
+            .map(|pred| members.iter().copied().filter(|&h| pred(h)).collect())
+            .find(|pool: &Vec<HostId>| !pool.is_empty())
+            .expect("clusters are never empty");
+        pool.sort_by(|&a, &b| surrogate_order(population, a, b));
+        let actives = members
+            .len()
+            .div_ceil(system.config().members_per_surrogate)
+            .max(1);
+        pool.truncate(actives + STANDBYS);
+        let standbys = pool.split_off(actives.min(pool.len()));
+        (pool, standbys)
+    }
+
+    /// Under the default config and with `members_per_surrogate: 3`
+    /// (several actives per cluster), checks every cluster's replica set
+    /// against [`reference_election`] right after bootstrap, then
+    /// crashes each cluster's online actives one by one (announced) and
+    /// checks the cluster again after every crash that cold re-elects
+    /// it, which must happen at least once.
+    fn assert_elections_match_the_reference(s: &Scenario) {
+        for members_per_surrogate in [AsapConfig::default().members_per_surrogate, 3] {
+            let config = AsapConfig {
+                members_per_surrogate,
+                ..Default::default()
+            };
+            let re_elections = assert_election_run_matches_the_reference(s, config);
+            assert!(re_elections > 0, "no cold re-election was checked");
+        }
+    }
+
+    /// One run of [`assert_elections_match_the_reference`]; returns the
+    /// cold re-elections it checked.
+    fn assert_election_run_matches_the_reference(s: &Scenario, config: AsapConfig) -> u64 {
+        let system = AsapSystem::bootstrap(s, config);
+        let check = |c: ClusterId, exclude: &[HostId]| {
+            let rs = system.replica_set_of(c);
+            assert_eq!(
+                (rs.active, rs.standbys),
+                reference_election(&system, c, exclude),
+                "cluster {c:?} excluding {exclude:?}"
+            );
+        };
+        let clusters = s.population.clustering().clusters();
+        for c in clusters {
+            check(c.id(), &[]);
+        }
+        let mut re_elections = 0;
+        for c in clusters {
+            let c = c.id();
+            while let Some(victim) = system
+                .surrogates_of(c)
+                .into_iter()
+                .find(|&h| system.is_online(h))
+            {
+                let before = system.stats().recovery.re_elections;
+                system.crash_host(victim);
+                if system.stats().recovery.re_elections > before {
+                    check(c, &[victim]);
+                    re_elections += 1;
+                }
+            }
+        }
+        re_elections
+    }
+
+    #[test]
+    fn elections_match_the_plain_reference() {
+        let s = scenario();
+        assert_elections_match_the_reference(&s);
+    }
+
+    /// [`elections_match_the_plain_reference`] on the eval world: all
+    /// 650 clusters, up to the 1,000-member one that elects 4 actives.
+    /// Run it with `cargo test --release -p asap-core -- --ignored`.
+    #[test]
+    #[ignore = "eval scale: run in release with --ignored"]
+    fn eval_scale_elections_match_the_plain_reference() {
+        let s = Scenario::build(ScenarioConfig::eval_scale(), 1);
+        let clusters = s.population.clustering().clusters();
+        assert_eq!(clusters.len(), 650);
+        assert_eq!(clusters.iter().map(|c| c.len()).max(), Some(1000));
+        assert_elections_match_the_reference(&s);
+    }
+
+    /// `keep_best` against a full sort under `surrogate_order`'s
+    /// comparison, written out here. Scores come from a four-value set
+    /// with both zeros (distinct under `total_cmp`), so ties and the id
+    /// tie-break are common; ids are distinct, as host ids are.
+    #[test]
+    fn keep_best_matches_a_full_sort() {
+        const SCORES: [f64; 4] = [0.0, -0.0, 0.5, -1.25];
+        let bits = |pool: &[(f64, HostId)]| -> Vec<(u64, HostId)> {
+            pool.iter().map(|&(x, h)| (x.to_bits(), h)).collect()
+        };
+        check(256, |rng| {
+            let len = rng.gen_range(0..1200usize);
+            let mut ids: Vec<u32> = (0..len as u32)
+                .map(|i| 3 * i + rng.gen_range(0..3))
+                .collect();
+            for i in (1..ids.len()).rev() {
+                ids.swap(i, rng.gen_range(0..=i));
+            }
+            let pool: Vec<(f64, HostId)> = ids
+                .into_iter()
+                .map(|id| (SCORES[rng.gen_range(0..SCORES.len())], HostId(id)))
+                .collect();
+            let keep = rng.gen_range(1..len + 8);
+            let mut want = pool.clone();
+            want.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+            want.truncate(keep);
+            let mut got = pool;
+            keep_best(&mut got, keep);
+            assert_eq!(bits(&got), bits(&want), "len {len}, keep {keep}");
+        });
     }
 
     #[test]
